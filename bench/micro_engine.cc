@@ -16,6 +16,9 @@
 #include "recovery/parallel_redo.h"
 #include "recovery/redo.h"
 #include "recovery/undo.h"
+#include "sim/clock.h"
+#include "sim/sim_disk.h"
+#include "storage/buffer_pool.h"
 #include "storage/page_table.h"
 #include "workload/concurrent_driver.h"
 #include "workload/driver.h"
@@ -261,6 +264,45 @@ void BM_BufferPoolGetSpread(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BufferPoolGetSpread);
+
+// A demand miss in the undo-pass regime: redo left nearly every frame
+// dirty and the lazy writer is off during recovery, so the clock sweep
+// walks past dirty frames to reach one of the few clean ones. 819 frames,
+// the cache of the recover_zipf_evict_par workload; the argument is the
+// number of clean frames (with 1, every miss sweeps both turns). Every
+// miss evicts a clean page and loads a clean one, so the regime holds for
+// the whole run.
+void BM_BufferPoolMissDirtyFull(benchmark::State& state) {
+  constexpr uint32_t kFrames = 819;
+  constexpr uint32_t kPageSize = 8192;
+  constexpr PageId kColdPages = 4096;
+  const auto clean = static_cast<uint32_t>(state.range(0));
+  SimClock clock;
+  SimDisk disk(&clock, kPageSize, IoModelOptions{});
+  disk.EnsurePages(kFrames + kColdPages);
+  BufferPool pool(&clock, &disk, kFrames, kPageSize);
+  const uint32_t spacing = kFrames / clean;  // clean frames spread evenly
+  Lsn lsn = 1;
+  for (PageId pid = 0; pid < kFrames; pid++) {
+    PageHandle h;
+    if (!pool.Get(pid, PageClass::kData, &h).ok()) {
+      state.SkipWithError("warm-up Get failed");
+      return;
+    }
+    if (pid % spacing != 0 || pid / spacing >= clean) h.MarkDirty(lsn++);
+  }
+  PageId next = 0;
+  for (auto _ : state) {
+    PageHandle h;
+    benchmark::DoNotOptimize(
+        pool.Get(kFrames + next, PageClass::kData, &h));
+    next = (next + 1) % kColdPages;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["dirty_evictions"] =
+      static_cast<double>(pool.stats().dirty_evictions);
+}
+BENCHMARK(BM_BufferPoolMissDirtyFull)->Arg(1)->Arg(4);
 
 // The pool's pid -> frame table in isolation: the probe cost under the
 // find/put/erase churn that eviction produces.

@@ -7,6 +7,14 @@
 #
 # Usage: scripts/perf_report.sh [build-dir] [output.json]
 #   MIN_TIME=0.5 scripts/perf_report.sh     # longer, steadier measurement
+#   BASELINE=<other-build-dir> BASELINE_FILTER='BM_BufferPool' \
+#     scripts/perf_report.sh                # also record "before" numbers
+#
+# With BASELINE set, the micro_engine of that build (e.g. the parent
+# commit's, with the same bench source) runs the benchmarks matching
+# BASELINE_FILTER, and its results land in the output JSON under
+# "baseline" (context, including num_cpus, plus benchmarks), next to this
+# build's own numbers.
 #
 # Requires a build with google-benchmark available (the micro_engine target);
 # scripts/check.sh or `cmake --build build` produces one.
@@ -34,6 +42,30 @@ echo "==== micro_engine (hot-path wall-clock benchmarks) -> $OUT"
   --benchmark_format=console \
   --benchmark_out_format=json \
   --benchmark_out="$OUT"
+
+if [[ -n "${BASELINE:-}" ]]; then
+  BASE_OUT="$(mktemp)"
+  trap 'rm -f "$BASE_OUT"' EXIT
+  echo
+  echo "==== baseline: $BASELINE/bench/micro_engine (${BASELINE_FILTER:-all})"
+  "$BASELINE/bench/micro_engine" \
+    --benchmark_min_time="$MIN_TIME" \
+    --benchmark_filter="${BASELINE_FILTER:-.}" \
+    --benchmark_format=console \
+    --benchmark_out_format=json \
+    --benchmark_out="$BASE_OUT"
+  python3 - "$OUT" "$BASE_OUT" <<'PY'
+import json, sys
+out, base = sys.argv[1:3]
+with open(out) as f:
+    report = json.load(f)
+with open(base) as f:
+    report["baseline"] = json.load(f)
+with open(out, "w") as f:
+    json.dump(report, f, indent=2)
+    f.write("\n")
+PY
+fi
 
 echo
 echo "==== fig2a smoke (end-to-end recovery, simulated time)"

@@ -56,12 +56,12 @@ BufferPool::BufferPool(SimClock* clock, SimDisk* disk, uint64_t capacity_pages,
       capacity_(capacity_pages),
       page_size_(page_size),
       max_batch_pages_(max_batch_pages),
+      frames_(capacity_pages),
       retry_limit_(disk->io_options().io_retry_limit),
       backoff_base_ms_(disk->io_options().io_backoff_base_ms) {
   assert(capacity_ > 0);
   for (auto& sp : shards_) sp = std::make_unique<TableShard>(capacity_pages);
   arena_.resize(capacity_ * static_cast<uint64_t>(page_size_));
-  frames_.resize(capacity_);
   free_frames_.reserve(capacity_);
   for (uint64_t i = 0; i < capacity_; i++) {
     free_frames_.push_back(static_cast<uint32_t>(capacity_ - 1 - i));
@@ -121,11 +121,7 @@ Status BufferPool::Get(PageId pid, PageClass cls, PageHandle* handle) {
       Frame& f = frames_[fi];
       if (f.state == FrameState::kLoaded) {
         sh.hits++;
-        f.ref = true;
-        f.cls = cls;
-        if (f.pins == 0) pinned_count_++;
-        f.pins++;
-        *handle = PageHandle(this, fi, pid);
+        PinLatched(fi, pid, cls, handle);
         return Status::OK();
       }
       // Pending prefetch: claim it on the structural path below.
@@ -148,11 +144,7 @@ Status BufferPool::GetSlow(PageId pid, PageClass cls, PageHandle* handle) {
       Frame& f = frames_[fi];
       if (f.state == FrameState::kLoaded) {
         sh.hits++;
-        f.ref = true;
-        f.cls = cls;
-        if (f.pins == 0) pinned_count_++;
-        f.pins++;
-        *handle = PageHandle(this, fi, pid);
+        PinLatched(fi, pid, cls, handle);
         return Status::OK();
       }
       assert(f.state == FrameState::kPending);
@@ -183,7 +175,7 @@ Status BufferPool::GetSlow(PageId pid, PageClass cls, PageHandle* handle) {
         MutexLock lk(&sh.mu);
         sh.table.Erase(pid);
       }
-      frames_[fi] = Frame();
+      frames_[fi].Clear();
       free_frames_.push_back(fi);
       return vs;
     }
@@ -194,11 +186,7 @@ Status BufferPool::GetSlow(PageId pid, PageClass cls, PageHandle* handle) {
     MutexLock lk(&sh.mu);
     f.state = FrameState::kLoaded;
     loaded_count_++;
-    f.ref = true;
-    f.cls = cls;
-    if (f.pins == 0) pinned_count_++;
-    f.pins++;
-    *handle = PageHandle(this, fi, pid);
+    PinLatched(fi, pid, cls, handle);
     return Status::OK();
   }
 
@@ -234,7 +222,7 @@ Status BufferPool::GetSlow(PageId pid, PageClass cls, PageHandle* handle) {
       MutexLock lk(&sh.mu);
       sh.table.Erase(pid);
     }
-    frames_[fi] = Frame();
+    frames_[fi].Clear();
     free_frames_.push_back(fi);
     return s;
   }
@@ -242,10 +230,7 @@ Status BufferPool::GetSlow(PageId pid, PageClass cls, PageHandle* handle) {
   MutexLock lk(&sh.mu);
   f.state = FrameState::kLoaded;
   loaded_count_++;
-  f.ref = true;
-  if (f.pins == 0) pinned_count_++;
-  f.pins++;
-  *handle = PageHandle(this, fi, pid);
+  PinLatched(fi, pid, cls, handle);
   return Status::OK();
 }
 
@@ -262,11 +247,8 @@ Status BufferPool::Create(PageId pid, PageClass cls, PageHandle* handle) {
   assert(sh.table.Find(pid) == nullptr);
   sh.table.Put(pid, fi);
   f.state = FrameState::kLoaded;
-  f.ref = true;
   loaded_count_++;
-  if (f.pins == 0) pinned_count_++;
-  f.pins++;
-  *handle = PageHandle(this, fi, pid);
+  PinLatched(fi, pid, cls, handle);
   return Status::OK();
 }
 
@@ -274,7 +256,9 @@ uint32_t BufferPool::PinCount(PageId pid) const {
   TableShard& sh = ShardFor(pid);
   MutexLock lk(&sh.mu);
   const uint32_t* fi = sh.table.Find(pid);
-  return fi == nullptr ? 0 : frames_[*fi].pins;
+  return fi == nullptr
+             ? 0
+             : frames_[*fi].pins.load(std::memory_order_relaxed);
 }
 
 bool BufferPool::IsResidentOrPending(PageId pid) const {
@@ -361,7 +345,6 @@ uint32_t BufferPool::Prefetch(std::span<const PageId> pids, PageClass cls) {
       f.ready_at_ms = completion;
       f.prefetched = true;
       f.dirty = false;
-      f.ref = false;
       f.cls = cls;
       // Fields are set BEFORE the mapping publishes: a latched reader can
       // only find the frame once it is a fully-formed pending entry.
@@ -409,7 +392,10 @@ bool BufferPool::Discard(PageId pid) {
     if (entry == nullptr) return false;
     fi = *entry;
     Frame& f = frames_[fi];
-    if (f.state != FrameState::kLoaded || f.pins > 0) return false;
+    if (f.state != FrameState::kLoaded ||
+        f.pins.load(std::memory_order_relaxed) > 0) {
+      return false;
+    }
     sh.table.Erase(pid);
   }
   // Unmapped: the frame is now private to this miss_mu_ holder.
@@ -421,7 +407,7 @@ bool BufferPool::Discard(PageId pid) {
     // Stale dirty_fifo_ entries are skipped by the seq check on pop.
   }
   loaded_count_--;
-  f = Frame();
+  f.Clear();
   free_frames_.push_back(fi);
   return true;
 }
@@ -540,7 +526,8 @@ Status BufferPool::LazyWriterTick() {
       const uint32_t* entry = sh.table.Find(pid);
       if (entry == nullptr) continue;  // evicted since
       fi = *entry;
-      if (frames_[fi].pins > 0) continue;  // skip pinned; retried next tick
+      // Skip pinned; retried next tick.
+      if (frames_[fi].pins.load(std::memory_order_relaxed) > 0) continue;
     }
     Frame& f = frames_[fi];
     if (f.state != FrameState::kLoaded || !f.dirty || f.dirty_seq != seq) {
@@ -560,7 +547,7 @@ Status BufferPool::AllocFrame(uint32_t* out) {
   if (!free_frames_.empty()) {
     *out = free_frames_.back();
     free_frames_.pop_back();
-    frames_[*out] = Frame();
+    frames_[*out].Clear();
     return Status::OK();
   }
   return EvictSomeFrame(out);
@@ -568,8 +555,8 @@ Status BufferPool::AllocFrame(uint32_t* out) {
 
 Status BufferPool::EvictSomeFrame(uint32_t* out) {
   // Caller holds miss_mu_: frame identity (pid/state/ready_at_ms) is
-  // stable across the sweep. The hit-mutable fields (pins, ref) and the
-  // unmap itself are handled under the victim's shard latch so a
+  // stable across the sweep. The sweep reads pins/ref latch-free and takes
+  // a shard latch only to unmap its victim, re-checking pins there, so a
   // concurrent hit can never pin a page mid-eviction.
   const uint32_t n = static_cast<uint32_t>(frames_.size());
   // A few rounds: a dirty victim can be pinned by a racing hit while we
@@ -577,10 +564,14 @@ Status BufferPool::EvictSomeFrame(uint32_t* out) {
   for (int round = 0; round < 3; round++) {
     uint32_t dirty_candidate = n;  // first evictable dirty frame seen
     // Clock sweep, up to two full turns: prefer a clean unreferenced victim.
+    // The hand lives in a register; storing it back each step keeps the
+    // member exact on every exit without a load-modify-store chain.
+    uint32_t hand = clock_hand_;
     for (uint32_t step = 0; step < 2 * n; step++) {
-      Frame& f = frames_[clock_hand_];
-      const uint32_t cur = clock_hand_;
-      clock_hand_ = (clock_hand_ + 1) % n;
+      const uint32_t cur = hand;
+      if (++hand == n) hand = 0;
+      clock_hand_ = hand;
+      Frame& f = frames_[cur];
       if (f.state == FrameState::kPending &&
           f.ready_at_ms <= clock_->NowMs()) {
         // The prefetch I/O completed but nobody claimed the page yet:
@@ -605,7 +596,7 @@ Status BufferPool::EvictSomeFrame(uint32_t* out) {
               MutexLock lk(&sh.mu);
               sh.table.Erase(f.pid);
             }
-            f = Frame();
+            f.Clear();
             *out = cur;
             return Status::OK();
           }
@@ -614,22 +605,29 @@ Status BufferPool::EvictSomeFrame(uint32_t* out) {
         f.state = FrameState::kLoaded;
         loaded_count_++;
       }
+      // Latch-free visit (see the frames_ contract).
       if (f.state != FrameState::kLoaded) continue;
-      {
-        TableShard& sh = ShardFor(f.pid);
-        MutexLock lk(&sh.mu);
-        if (f.pins > 0) continue;
-        if (f.ref) {
-          f.ref = false;
-          continue;
-        }
-        if (!f.dirty) {
-          EvictFrame(cur, sh);
-          *out = cur;
-          return Status::OK();
-        }
+      if (f.pins.load(std::memory_order_relaxed) > 0) continue;
+      if (f.ref.load(std::memory_order_relaxed)) {
+        f.ref.store(false, std::memory_order_relaxed);
+        continue;
       }
-      if (dirty_candidate == n) dirty_candidate = cur;
+      if (f.dirty) {
+        if (dirty_candidate == n) dirty_candidate = cur;
+        continue;
+      }
+      // Clean victim: re-check under the latch, where no hit can pin it
+      // between the check and the unmap.
+      TableShard& sh = ShardFor(f.pid);
+      MutexLock lk(&sh.mu);
+      if (f.pins.load(std::memory_order_relaxed) > 0) continue;
+      if (f.ref.load(std::memory_order_relaxed)) {
+        f.ref.store(false, std::memory_order_relaxed);
+        continue;
+      }
+      EvictFrame(cur, sh);
+      *out = cur;
+      return Status::OK();
     }
     if (dirty_candidate == n) {
       return Status::Busy("buffer pool exhausted (all frames pinned/pending)");
@@ -640,8 +638,8 @@ Status BufferPool::EvictSomeFrame(uint32_t* out) {
     Frame& victim = frames_[dirty_candidate];
     TableShard& sh = ShardFor(victim.pid);
     MutexLock lk(&sh.mu);
-    if (victim.state != FrameState::kLoaded || victim.pins > 0 ||
-        !victim.dirty) {
+    if (victim.state != FrameState::kLoaded ||
+        victim.pins.load(std::memory_order_relaxed) > 0 || !victim.dirty) {
       continue;  // raced with a hit; sweep again
     }
     DEUTERO_RETURN_NOT_OK(FlushFrame(dirty_candidate, nullptr));
@@ -655,24 +653,37 @@ Status BufferPool::EvictSomeFrame(uint32_t* out) {
 
 void BufferPool::EvictFrame(uint32_t frame, TableShard& sh) {
   Frame& f = frames_[frame];
-  assert(f.state == FrameState::kLoaded && f.pins == 0 && !f.dirty);
+  assert(f.state == FrameState::kLoaded &&
+         f.pins.load(std::memory_order_relaxed) == 0 && !f.dirty);
   if (f.prefetched) stats_.prefetch_wasted++;
   sh.table.Erase(f.pid);
   loaded_count_--;
   stats_.evictions++;
-  f = Frame();
+  f.Clear();
+}
+
+void BufferPool::PinLatched(uint32_t frame, PageId pid, PageClass cls,
+                            PageHandle* handle) {
+  Frame& f = frames_[frame];
+  f.ref.store(true, std::memory_order_relaxed);
+  f.cls = cls;
+  const uint16_t pins = f.pins.load(std::memory_order_relaxed);
+  if (pins == 0) pinned_count_++;
+  f.pins.store(pins + 1, std::memory_order_relaxed);
+  *handle = PageHandle(this, frame, pid);
 }
 
 void BufferPool::Unpin(uint32_t frame, PageId pid) {
   // A pinned page cannot be evicted or remapped, so `frame` still belongs
-  // to `pid`; the shard latch covers the pin-count update against
-  // concurrent hits on the same shard.
+  // to `pid`; the shard latch serializes the pin-count update against
+  // concurrent hits on the same shard (see PinLatched).
   TableShard& sh = ShardFor(pid);
   MutexLock lk(&sh.mu);
   Frame& f = frames_[frame];
-  assert(f.pins > 0);
-  f.pins--;
-  if (f.pins == 0) pinned_count_--;
+  const uint16_t pins = f.pins.load(std::memory_order_relaxed);
+  assert(pins > 0);
+  f.pins.store(pins - 1, std::memory_order_relaxed);
+  if (pins == 1) pinned_count_--;
 }
 
 void BufferPool::MarkDirtyInternal(uint32_t frame, Lsn lsn) {
@@ -704,7 +715,7 @@ void BufferPool::Reset() {
   dirty_bits_.assign(dirty_bits_.size(), 0);
   free_frames_.clear();
   for (uint64_t i = 0; i < capacity_; i++) {
-    frames_[i] = Frame();
+    frames_[i].Clear();
     free_frames_.push_back(static_cast<uint32_t>(capacity_ - 1 - i));
   }
   loaded_count_ = 0;

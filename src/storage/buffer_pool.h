@@ -35,7 +35,8 @@
 //    (Get hit, Unpin, the Is*/PinCount probes) takes only a per-shard
 //    page-table latch: the table is split kTableShards ways by pid hash,
 //    each shard owning its own fixed-geometry PageTable, its gets/hits
-//    counters, and the hit-mutable frame fields (pins, ref, cls).
+//    counters, and the hit-mutable frame fields (pins, ref, cls; pins and
+//    ref are relaxed atomics so the clock sweep can read them latch-free).
 //    Everything structural — demand miss, pending-prefetch claim, Create,
 //    Prefetch, eviction, flushes, Discard, Reset — serializes on the
 //    pool-wide miss_mu_ (it owns free_frames_, the clock hand, dirty
@@ -268,18 +269,33 @@ class BufferPool {
 
   enum class FrameState : uint8_t { kEmpty, kPending, kLoaded };
 
-  struct Frame {
+  /// Every frame field except pins and ref, which hits write while the
+  /// clock sweep reads them latch-free. Split out so Frame::Clear() can
+  /// reset the plain fields by assignment.
+  struct FrameMeta {
     PageId pid = kInvalidPageId;
     FrameState state = FrameState::kEmpty;
     double ready_at_ms = 0;
     bool dirty = false;
     bool phase = false;
-    bool ref = false;
     bool prefetched = false;
     PageClass cls = PageClass::kData;
-    uint16_t pins = 0;
     uint64_t dirty_seq = 0;
     Lsn first_dirty_lsn = kInvalidLsn;
+  };
+
+  struct Frame : FrameMeta {
+    /// Relaxed atomics (see the frames_ contract below).
+    std::atomic<bool> ref{false};
+    std::atomic<uint16_t> pins{0};
+
+    /// Back to kEmpty. Only for a frame no other thread can reach: the
+    /// caller holds miss_mu_ and the pid is unmapped (or never was).
+    void Clear() {
+      static_cast<FrameMeta&>(*this) = FrameMeta();
+      ref.store(false, std::memory_order_relaxed);
+      pins.store(0, std::memory_order_relaxed);
+    }
   };
 
   uint8_t* FrameData(uint32_t frame) {
@@ -345,6 +361,11 @@ class BufferPool {
   /// Count a retry and advance sim time by base * 2^attempt.
   void Backoff(uint32_t attempt) REQUIRES(miss_mu_);
 
+  /// Pin `frame` for `pid` and set its reference bit. Caller holds the
+  /// pid's shard latch, which serializes every pins/ref writer, so a plain
+  /// load + store is exact (no read-modify-write on the hit path).
+  void PinLatched(uint32_t frame, PageId pid, PageClass cls,
+                  PageHandle* handle);
   void Unpin(uint32_t frame, PageId pid);
   void MarkDirtyInternal(uint32_t frame, Lsn lsn);
 
@@ -355,11 +376,23 @@ class BufferPool {
   const uint32_t max_batch_pages_;
 
   std::vector<uint8_t> arena_;
-  /// NOT annotated: frames_ is dual-guarded — identity fields are written
-  /// by miss_mu_ holders, hit-mutable fields (pins, ref, cls) under the
-  /// pid's shard latch, and MarkDirtyInternal runs mutator-serialized under
-  /// the engine's exclusive forward gate. No single capability expresses
-  /// that, so the contract lives in the comment up top (and under TSan).
+  /// NOT annotated: frames_ is dual-guarded. No single capability
+  /// expresses it, so the contract lives here (and under TSan):
+  ///  * Identity fields (pid, state, ready_at_ms, prefetched, dirty_seq)
+  ///    are written by miss_mu_ holders; a state change or (un)mapping of a
+  ///    mapped pid also holds its shard latch.
+  ///  * dirty/phase/first_dirty_lsn are written by MarkDirtyInternal
+  ///    (mutator-serialized under the engine's exclusive forward gate, or a
+  ///    recovery pass's pool gate) and by flush/evict under miss_mu_.
+  ///  * cls is written under the pid's shard latch.
+  ///  * pins and ref are relaxed atomics. Their writers are the hit path,
+  ///    Unpin and the slow-path pin (under the pid's shard latch), plus
+  ///    Clear() on an unmapped frame. The one exception is the clock sweep
+  ///    (a miss_mu_ holder): it reads state/pins/dirty and clears ref with
+  ///    no latch, and takes the shard latch only to re-check pins/ref on
+  ///    the frame it is about to unmap. A racing hit can therefore change
+  ///    which frame a concurrent sweep picks, but never get its pinned
+  ///    page evicted.
   std::vector<Frame> frames_;
   std::vector<uint32_t> free_frames_ GUARDED_BY(miss_mu_);
   /// Sharded pid -> frame map (see the concurrency note up top).

@@ -24,6 +24,7 @@ void LogManager::ResetCursors() {
   base_.store(buffer_.data(), std::memory_order_release);
   capacity_.store(buffer_.size(), std::memory_order_release);
   reserved_end_.store(buffer_.size(), std::memory_order_release);
+  filled_high_.store(buffer_.size(), std::memory_order_release);
   stable_end_.store(buffer_.size(), std::memory_order_release);
   for (auto& s : inflight_) s.store(kSlotFree, std::memory_order_release);
 }
@@ -75,6 +76,13 @@ void LogManager::ExitFill() {
 void LogManager::EnsureCapacity(uint64_t end) {
   if (end <= capacity_.load(std::memory_order_acquire)) return;
   MutexLock lk(&grow_mu_);
+  // Another grower may be quiescing: it released grow_mu_ in its wait.
+  // Let it finish first. Starting over it would clear its growth_pending_,
+  // so new encoders could run during its resize, and its wait could miss
+  // the last encoder's exit notification and hang.
+  grow_cv_.Wait(&grow_mu_, [&] {
+    return !growth_pending_.load(std::memory_order_seq_cst);
+  });
   if (end <= capacity_.load(std::memory_order_acquire)) return;
   // Quiesce: new encoders park in EnterFill, in-flight ones drain (they
   // never block while holding the fill token, so this terminates). Parked
@@ -108,8 +116,9 @@ LogManager::Reservation LogManager::Reserve(LogRecordType type,
   r.payload_len = payload_len;
   r.slot = ClaimSlot();
   r.lsn = reserved_end_.fetch_add(total, std::memory_order_seq_cst);
-  // Tighten the conservative claim to the actual window start. (Monotone:
-  // the claimed floor was <= r.lsn, so the filled mark never regresses.)
+  // Tighten the conservative claim to the actual window start. The claimed
+  // floor may be stale (loaded before a racing scan reported a higher
+  // mark); filled_through()'s high-water mark keeps the mark monotone.
   inflight_[r.slot].store(r.lsn, std::memory_order_seq_cst);
   EnsureCapacity(r.lsn + total);
   return r;
@@ -168,7 +177,16 @@ Lsn LogManager::filled_through() const {
     const uint64_t v = s.load(std::memory_order_seq_cst);
     if (v < low) low = v;
   }
-  return low;
+  // A claim's floor is loaded before its CAS, so a scan can see a floor
+  // below a mark an earlier scan already reported. That mark still holds:
+  // every window under it was filled, and every later window is reserved
+  // at or above it. Report the high-water mark instead of regressing.
+  Lsn high = filled_high_.load(std::memory_order_acquire);
+  while (low > high && !filled_high_.compare_exchange_weak(
+                           high, low, std::memory_order_acq_rel,
+                           std::memory_order_acquire)) {
+  }
+  return std::max(low, high);
 }
 
 bool LogManager::Flush() {

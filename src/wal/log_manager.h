@@ -275,7 +275,8 @@ class LogManager {
 
   /// Claim an in-flight slot holding a conservative lower bound of the
   /// upcoming reservation's start (stored BEFORE the fetch-add, so a
-  /// concurrent filled_through() can never miss the window).
+  /// concurrent filled_through() can never miss the window). The bound is
+  /// loaded before the CAS and may be stale by the time it lands.
   uint32_t ClaimSlot();
   /// Grow committed capacity to cover [0, end), quiescing in-flight
   /// Publish() encoders first. Bumps the generation if storage moved.
@@ -304,6 +305,9 @@ class LogManager {
 
   std::atomic<uint64_t> generation_{0};
   std::atomic<Lsn> reserved_end_{kFirstLsn};  ///< Reservation cursor.
+  /// Highest mark filled_through() has reported: the scan alone can dip
+  /// below it (see filled_through()), the reported mark never does.
+  mutable std::atomic<Lsn> filled_high_{kFirstLsn};
   std::atomic<Lsn> stable_end_{kFirstLsn};
   /// In-flight reservation table: start offset of each unpublished window
   /// (kSlotFree when empty). filled_through() = min over these and

@@ -289,6 +289,25 @@ TEST(ShardedLockTest, ContendedStressStaysDeadlockFreeAndDrains) {
   // clean drain (no entry leaks a holder).
   ShardedLockManager locks(8);
   std::atomic<uint64_t> next_txn{1};
+
+  // One guaranteed overlap first, so the contention check below never
+  // depends on the scheduler interleaving lock holders: a younger thread
+  // requests X on a key while an older one holds X on it, and dies.
+  {
+    const TxnId holder = next_txn.fetch_add(1);
+    ASSERT_OK(
+        locks.Acquire(holder, 1, 0, ShardedLockManager::LockMode::kExclusive));
+    std::thread younger([&] {
+      const TxnId txn = next_txn.fetch_add(1);
+      const Status st =
+          locks.Acquire(txn, 1, 0, ShardedLockManager::LockMode::kExclusive);
+      EXPECT_TRUE(st.IsBusy()) << st.ToString();
+      locks.ReleaseAll(txn);
+    });
+    younger.join();
+    locks.ReleaseAll(holder);
+  }
+
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; t++) {
     threads.emplace_back([&, t] {
