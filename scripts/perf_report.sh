@@ -7,14 +7,13 @@
 #
 # Usage: scripts/perf_report.sh [build-dir] [output.json]
 #   MIN_TIME=0.5 scripts/perf_report.sh     # longer, steadier measurement
-#   BASELINE=<other-build-dir> BASELINE_FILTER='BM_BufferPool' \
-#     scripts/perf_report.sh                # also record "before" numbers
+#   BASELINE=<other-build-dir> scripts/perf_report.sh  # also record "before"
 #
 # With BASELINE set, the micro_engine of that build (e.g. the parent
-# commit's, with the same bench source) runs the benchmarks matching
-# BASELINE_FILTER, and its results land in the output JSON under
-# "baseline" (context, including num_cpus, plus benchmarks), next to this
-# build's own numbers.
+# commit's, with the same bench source) runs too, and its results land in
+# the output JSON under "baseline" (context, including num_cpus, plus
+# benchmarks), next to this build's own numbers. Without BASELINE the
+# output has no "baseline" block.
 #
 # Requires a build with google-benchmark available (the micro_engine target);
 # scripts/check.sh or `cmake --build build` produces one.
@@ -47,10 +46,9 @@ if [[ -n "${BASELINE:-}" ]]; then
   BASE_OUT="$(mktemp)"
   trap 'rm -f "$BASE_OUT"' EXIT
   echo
-  echo "==== baseline: $BASELINE/bench/micro_engine (${BASELINE_FILTER:-all})"
+  echo "==== baseline: $BASELINE/bench/micro_engine"
   "$BASELINE/bench/micro_engine" \
     --benchmark_min_time="$MIN_TIME" \
-    --benchmark_filter="${BASELINE_FILTER:-.}" \
     --benchmark_format=console \
     --benchmark_out_format=json \
     --benchmark_out="$BASE_OUT"

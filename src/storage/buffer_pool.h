@@ -384,7 +384,8 @@ class BufferPool {
   ///  * dirty/phase/first_dirty_lsn are written by MarkDirtyInternal
   ///    (mutator-serialized under the engine's exclusive forward gate, or a
   ///    recovery pass's pool gate) and by flush/evict under miss_mu_.
-  ///  * cls is written under the pid's shard latch.
+  ///  * cls is written under the pid's shard latch, or by Prefetch before
+  ///    it maps the frame.
   ///  * pins and ref are relaxed atomics. Their writers are the hit path,
   ///    Unpin and the slow-path pin (under the pid's shard latch), plus
   ///    Clear() on an unmapped frame. The one exception is the clock sweep
