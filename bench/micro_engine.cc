@@ -12,7 +12,6 @@
 #include "core/engine.h"
 #include "recovery/analysis.h"
 #include "recovery/dpt.h"
-#include "recovery/parallel_analysis.h"
 #include "recovery/parallel_redo.h"
 #include "recovery/redo.h"
 #include "recovery/undo.h"
@@ -542,7 +541,7 @@ BENCHMARK(BM_ParallelRedo)
 
 // Thread-scaling curve of the sharded parallel DPT construction (ISSUE 9):
 // the logical DC pass over one crash image, recovery_threads in
-// {1, 2, 4, 8}. /1 is the serial pass. Manual timing covers exactly the
+// {1, 2, 4, 8}. /1 is one inline shard. Manual timing covers exactly the
 // pass; restore/reopen is untimed. sim_ms reports the SIMULATED pass time
 // (log I/O + max-shard DPT CPU), the cost model's view of the same sweep.
 void BM_ParallelAnalysis(benchmark::State& state) {
@@ -581,14 +580,8 @@ void BM_ParallelAnalysis(benchmark::State& state) {
     DcRecoveryResult dcr;
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();
-    if (threads == 1) {
-      (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                          /*build_dpt=*/true, /*preload=*/false, &dcr);
-    } else {
-      (void)RunDcRecoveryParallel(&e->wal(), &e->dc(), start, o.dpt_mode,
-                                  /*build_dpt=*/true, /*preload=*/false,
-                                  threads, &dcr);
-    }
+    (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
+                        /*build_dpt=*/true, /*preload=*/false, &dcr, threads);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
     sim_ms += e->clock().NowMs() - sim_t0;
@@ -613,7 +606,7 @@ BENCHMARK(BM_ParallelAnalysis)
 // Thread-scaling curve of the parallel undo pass (ISSUE 9): one crash
 // image with a fat in-flight loser tail, rolled back at recovery_threads
 // in {1, 2, 4, 8}. Each iteration restores the image and replays the
-// serial DC pass + redo (untimed) to rebuild the ATT, then times undo
+// single-thread DC pass + redo (untimed) to rebuild the ATT, then times undo
 // alone. The dispatcher appends the identical CLR stream at every width;
 // the leaf restores fan out to the apply workers.
 void BM_ParallelUndo(benchmark::State& state) {
@@ -696,11 +689,8 @@ void BM_ParallelUndo(benchmark::State& state) {
     UndoResult ur;
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();
-    if (threads == 1) {
-      (void)RunUndo(&e->wal(), &e->dc(), redo.att, &ur);
-    } else {
-      (void)RunUndoParallel(&e->wal(), &e->dc(), redo.att, threads, &ur);
-    }
+    (void)RunUndo(&e->wal(), &e->dc(), redo.att, &ur, /*max_ops_for_test=*/0,
+                  threads);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
     sim_ms += e->clock().NowMs() - sim_t0;

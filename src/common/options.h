@@ -128,10 +128,10 @@ struct IoModelOptions {
   double cpu_per_redo_apply_us = 5.0;
   /// CPU charged per DPT mutation event during analysis/DC-pass DPT
   /// construction (µs): every AddOrUpdate/seed/prune/remove the pass
-  /// performs. Serial passes charge events inline on one core; the
-  /// parallel analysis pipeline folds only the slowest shard's total —
-  /// which is what makes DPT construction scale with recovery_threads in
-  /// simulated time, mirroring the apply-CPU fold of parallel redo.
+  /// performs. The pass folds only the slowest DPT shard's total (at one
+  /// shard: every event) — which is what makes DPT construction scale with
+  /// recovery_threads in simulated time, mirroring the apply-CPU fold of
+  /// parallel redo.
   double cpu_per_dpt_update_us = 1.0;
 
   /// Media-fault plan (sim/fault_injector.h). Inactive by default.
@@ -211,13 +211,20 @@ struct EngineOptions {
   uint32_t prefetch_window = 32;  ///< Max outstanding prefetched pages.
 
   // ---- recovery parallelism ----
-  /// Worker threads for the redo phase (all five methods). 1 (default)
-  /// runs the original serial pipeline bit-exactly; N > 1 runs the
-  /// partitioned dispatcher + worker pipeline: one log-scan/dispatch
-  /// thread routes each decoded record to one of N partitions (hash of the
-  /// owning leaf page), with per-partition FIFO queues, per-partition DPT
-  /// shards and stats, and a drain barrier around SMO/DDL records. Values
-  /// are clamped to [1, 64] at engine open.
+  /// Partitions for every recovery pass (all five methods) and for the
+  /// standby's continuous replay. Each pass runs on the one partition
+  /// skeleton (recovery/pipeline_util.h): one log-scan/dispatch thread
+  /// routes work to N partitions by hash of the owning page, over
+  /// per-partition FIFO queues, with per-partition state and a drain
+  /// barrier around structure changes.
+  ///  * Analysis: N DPT shards; at 1 the single shard applies inline on
+  ///    the dispatcher's thread.
+  ///  * Redo: at 1 the serial RunLogicalRedo/RunSqlRedo run (the fig2a
+  ///    baseline); N > 1 runs the partitioned pipeline.
+  ///  * Undo: the dispatcher appends every CLR; N > 1 fans update-undo leaf
+  ///    restores out to N apply workers, at 1 nothing is routed.
+  ///  * Standby replay: at 1 the applier applies on its own thread.
+  /// Values are clamped to [1, 64] at engine open.
   uint32_t recovery_threads = 1;
 
   // ---- concurrent front end (PR 8) ----

@@ -1,5 +1,5 @@
-// Hot-standby applier. Structure mirrors the parallel redo pipeline
-// (recovery/parallel_redo.cc): a dispatcher scans the mirror log in order —
+// Hot-standby applier, on the partition skeleton every recovery pass uses
+// (recovery/pipeline_util.h): a dispatcher scans the mirror log in order —
 // buffering in-flight transactions, doing the logical->physical mapping
 // under the standby's own geometry, and owning every structure change —
 // while N partition workers (hash of the standby leaf pid) run the leaf
@@ -28,7 +28,6 @@
 #include "btree/btree.h"
 #include "btree/node.h"
 #include "common/coding.h"
-#include "recovery/parallel_redo.h"
 #include "recovery/pipeline_util.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
@@ -64,220 +63,50 @@ struct ReplayItem {
 
 constexpr size_t kReplayRingCapacity = 1024;
 
-/// One partition of the continuous-replay crew: same queue/pin-cache/
-/// barrier design as recovery's PartitionWorker, minus the DPT tests and
-/// read-ahead (replay applies everything; the pLSN test still guards the
-/// re-applied prefix after a resume).
-class ReplayWorker {
+/// One partition of the continuous-replay crew: a pin cache and the leaf
+/// apply. Compared with redo's there are no DPT tests and no read-ahead
+/// (replay applies everything); the pLSN test still guards the re-applied
+/// prefix after a resume.
+class ReplayApplier {
  public:
-  ReplayWorker(BufferPool* pool, Mutex* gate, uint32_t pin_cache_cap)
-      : pool_(pool),
-        gate_(gate),
-        ring_(kReplayRingCapacity),
-        pin_cache_cap_(pin_cache_cap == 0 ? 1 : pin_cache_cap) {}
-
-  void Start() { thread_ = std::thread([this] { Run(); }); }
-  void Join() {
-    if (thread_.joinable()) thread_.join();
+  using Item = ReplayItem;
+  static bool IsControl(const Item& item) {
+    return item.type == LogRecordType::kInvalid;
   }
 
-  void Push(const ReplayItem& item) {
-    uint32_t spins = 0;
-    while (!ring_.TryPush(item)) SpinWait(&spins);
-    pushed_++;
-  }
-  void SignalDone() { done_.store(true, std::memory_order_release); }
-  bool Drained() const {
-    return applied_.load(std::memory_order_acquire) == pushed_;
-  }
-  bool failed() const { return failed_.load(std::memory_order_acquire); }
-  const Status& error() const { return error_; }  ///< Valid after Join().
+  ReplayApplier(BufferPool* pool, Mutex* gate, uint32_t pin_cache_cap)
+      : pins_(pool, gate, pin_cache_cap) {}
 
- private:
-  struct CachedPin {
-    PageId pid = kInvalidPageId;
-    PageHandle handle;
-    bool dirtied = false;
-    uint64_t last_use = 0;
-  };
+  void Release() { pins_.ReleaseAll(); }
 
-  void Run() {
-    ReplayItem item;
-    uint32_t spins = 0;
-    while (true) {
-      if (ring_.TryPop(&item)) {
-        spins = 0;
-        Process(item);
-        applied_.fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      if (done_.load(std::memory_order_acquire)) {
-        if (!ring_.TryPop(&item)) break;
-        Process(item);
-        applied_.fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      SpinWait(&spins);
-    }
-    ReleaseAllPins();
-  }
-
-  void Process(const ReplayItem& item) {
-    if (item.type == LogRecordType::kInvalid) {
-      ReleaseAllPins();
-      return;
-    }
-    if (failed_.load(std::memory_order_relaxed)) return;  // drain mode
-    const Status st = Apply(item);
-    if (!st.ok()) {
-      error_ = st;
-      failed_.store(true, std::memory_order_release);
-    }
-  }
-
-  Status Apply(const ReplayItem& item) {
-    CachedPin* pin = nullptr;
-    DEUTERO_RETURN_NOT_OK(FindOrPin(item.pid, &pin));
+  Status Apply(const Item& item, const SpscRing<Item>& /*upcoming*/) {
+    PinCache::Pin* pin = nullptr;
+    DEUTERO_RETURN_NOT_OK(pins_.FindOrPin(item.pid, &pin));
     PageView page = pin->handle.view();
     // Idempotence across resumes: a recovered standby re-applies the tail
     // from replay_from; ops whose effects recovery already installed are
     // provably stamped (their standby records redo under every method).
     if (item.lsn <= page.plsn()) return Status::OK();
-    int64_t delta = 0;
-    Status st;
-    switch (item.type) {
-      case LogRecordType::kUpdate:
-        st = LeafApplyUpdate(page, item.value_size, item.key, item.after);
-        break;
-      case LogRecordType::kInsert:
-        st = LeafApplyInsert(page, item.value_size, item.key, item.after,
-                             &delta);
-        break;
-      case LogRecordType::kDelete:
-        st = LeafApplyDelete(page, item.value_size, item.key, &delta);
-        break;
-      default:
-        st = Status::InvalidArgument("not a replayable data op");
-        break;
-    }
-    DEUTERO_RETURN_NOT_OK(st);
-    (void)delta;  // row accounting is scan-complete on the dispatcher
-    if (pin->dirtied) {
-      page.set_plsn(item.lsn);
-    } else {
-      MutexLock lock(gate_);
-      pin->handle.MarkDirty(item.lsn);
-      pin->dirtied = true;
-    }
-    return Status::OK();
-  }
-
-  Status FindOrPin(PageId pid, CachedPin** out) {
-    use_tick_++;
-    for (CachedPin& p : pins_) {
-      if (p.pid == pid) {
-        p.last_use = use_tick_;
-        *out = &p;
-        return Status::OK();
-      }
-    }
-    CachedPin* slot = nullptr;
-    if (pins_.size() < pin_cache_cap_) {
-      pins_.emplace_back();
-      slot = &pins_.back();
-    } else {
-      slot = &pins_[0];
-      for (CachedPin& p : pins_) {
-        if (p.last_use < slot->last_use) slot = &p;
-      }
-    }
-    {
-      MutexLock lock(gate_);
-      slot->handle.Release();
-      DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kData, &slot->handle));
-    }
-    slot->pid = pid;
-    slot->dirtied = false;
-    slot->last_use = use_tick_;
-    *out = slot;
-    return Status::OK();
-  }
-
-  void ReleaseAllPins() {
-    if (pins_.empty()) return;
-    MutexLock lock(gate_);
-    for (CachedPin& p : pins_) p.handle.Release();
-    pins_.clear();
-  }
-
-  BufferPool* pool_;
-  Mutex* gate_;
-  SpscRing<ReplayItem> ring_;
-  const uint32_t pin_cache_cap_;
-  std::thread thread_;
-
-  uint64_t pushed_ = 0;  ///< Producer-side only.
-  alignas(64) std::atomic<uint64_t> applied_{0};
-  std::atomic<bool> done_{false};
-  std::atomic<bool> failed_{false};
-
-  Status error_;
-  std::vector<CachedPin> pins_;
-  uint64_t use_tick_ = 0;
-};
-
-class ReplayCrew {
- public:
-  ReplayCrew(BufferPool* pool, Mutex* gate, uint32_t threads) {
-    // Same pin budget heuristic as recovery: an eighth of the pool split
-    // across workers, clamped to [1, 8] pins each.
-    const uint64_t per = (pool->capacity() / 8) / (threads == 0 ? 1 : threads);
-    const uint32_t pin_cap =
-        per < 1 ? 1 : (per > 8 ? 8 : static_cast<uint32_t>(per));
-    workers_.reserve(threads);
-    for (uint32_t i = 0; i < threads; i++) {
-      workers_.push_back(std::make_unique<ReplayWorker>(pool, gate, pin_cap));
-    }
-    for (auto& w : workers_) w->Start();
-  }
-
-  void Route(uint32_t partition, const ReplayItem& item) {
-    workers_[partition]->Push(item);
-  }
-
-  /// Every worker drops its pins, then every queue is fully APPLIED.
-  void DrainBarrier() {
-    ReplayItem release_pins;  // type == kInvalid
-    for (auto& w : workers_) w->Push(release_pins);
-    for (auto& w : workers_) {
-      uint32_t spins = 0;
-      while (!w->Drained()) SpinWait(&spins);
-    }
-  }
-
-  bool AnyFailed() const {
-    for (const auto& w : workers_) {
-      if (w->failed()) return true;
-    }
-    return false;
-  }
-
-  Status Finish() {
-    ReplayItem release_pins;
-    for (auto& w : workers_) w->Push(release_pins);
-    for (auto& w : workers_) w->SignalDone();
-    for (auto& w : workers_) w->Join();
-    for (auto& w : workers_) {
-      if (w->failed()) return w->error();
-    }
+    DEUTERO_RETURN_NOT_OK(
+        ApplyLeafOp(page, item.type, item.value_size, item.key, item.after));
+    pins_.MarkDirty(pin, item.lsn);
     return Status::OK();
   }
 
  private:
-  std::vector<std::unique_ptr<ReplayWorker>> workers_;
+  PinCache pins_;
 };
 
 }  // namespace
+
+/// The continuous-replay apply partitions (recovery_threads >= 2).
+class LogicalReplica::ReplayCrew : public WorkerPool<ReplayApplier> {
+ public:
+  ReplayCrew(BufferPool* pool, Mutex* gate, uint32_t threads)
+      : WorkerPool(threads, kReplayRingCapacity, [&](uint32_t) {
+          return ReplayApplier(pool, gate, PinCacheCapacity(*pool, threads));
+        }) {}
+};
 
 // ---- InFlightOps ----
 
@@ -393,28 +222,6 @@ Status LogicalReplica::Open(const EngineOptions& options,
 
 LogicalReplica::~LogicalReplica() { (void)StopContinuousReplay(); }
 
-void LogicalReplica::RefreshTableRegistry() {
-  table_value_sizes_.clear();
-  DataComponent& dc = engine_->dc();
-  for (const TableInfo& info : dc.catalog().tables()) {
-    BTree* tree = dc.FindTable(info.id);
-    if (tree != nullptr) {
-      table_value_sizes_.emplace_back(info.id, tree->value_size());
-    }
-  }
-}
-
-bool LogicalReplica::LookupValueSize(TableId table,
-                                     uint32_t* value_size) const {
-  for (const auto& [tid, vs] : table_value_sizes_) {
-    if (tid == table) {
-      *value_size = vs;
-      return true;
-    }
-  }
-  return false;
-}
-
 // ---- the applier core ----
 
 Status LogicalReplica::ProjectedLeafRows(PageId pid, Mutex* gate,
@@ -445,9 +252,8 @@ Status LogicalReplica::ProjectedLeafRows(PageId pid, Mutex* gate,
 
 Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
                                          LogManager* src, bool standby,
-                                         void* crew_opaque, Mutex* gate,
+                                         ReplayCrew* crew, Mutex* gate,
                                          bool* stop_injected) {
-  ReplayCrew* crew = static_cast<ReplayCrew*>(crew_opaque);
   DataComponent& dc = engine_->dc();
   TransactionComponent& tc = engine_->tc();
   const int32_t head = in_flight_.Take(primary_txn);
@@ -465,7 +271,7 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
     // the primary (valid under strict 2PL + commit order), zero copies.
     DEUTERO_RETURN_NOT_OK(src->ViewRecordAt(op.lsn, &view_scratch_));
     uint32_t value_size = 0;
-    if (!LookupValueSize(op.table, &value_size)) {
+    if (!tables_.Lookup(op.table, &value_size)) {
       return Status::NotFound("replay of op on unknown table");
     }
     // Logical->physical mapping under the standby's own geometry, fence-
@@ -542,7 +348,7 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
       item.pid = pid;
       item.value_size = value_size;
       item.after = view_scratch_.after;
-      crew->Route(RedoPartitionOf(pid, threads_), item);
+      crew->Route(pid, item);
     } else {
       MutexLock lock(gate);
       switch (op.kind) {
@@ -640,7 +446,7 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
 Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
                                  bool standby) {
   DataComponent& dc = engine_->dc();
-  RefreshTableRegistry();
+  tables_.Refresh(&dc);
 
   // Routed items carry Slices aliasing `src`: nothing may append to it for
   // the whole apply (the standby's own WAL is a different manager and
@@ -693,7 +499,7 @@ Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
             MutexLock lock(&gate);
             st = dc.CreateTable(rec.table_id, rec.ddl_value_size);
           }
-          if (st.ok()) RefreshTableRegistry();
+          if (st.ok()) tables_.Refresh(&dc);
         }
         break;
       case LogRecordType::kTxnCommit:

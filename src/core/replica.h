@@ -17,8 +17,9 @@
 //    geometry that consumes the stream CONTINUOUSLY: each pulled chunk is
 //    appended to a local mirror log (same byte offsets as the primary) and
 //    applied through a partitioned parallel pipeline — the same
-//    dispatcher/worker design as recovery's parallel redo, with
-//    recovery_threads workers partitioned by standby leaf page. Only the
+//    dispatcher/worker skeleton as recovery's passes
+//    (recovery/pipeline_util.h), with recovery_threads workers partitioned
+//    by standby leaf page. Only the
 //    logical content of committed transactions is applied: (table, key,
 //    after-image), re-logged as the standby's OWN WAL records
 //    (TC::LogReplayOp) so standby pLSNs never mix with primary LSNs.
@@ -50,6 +51,7 @@
 #include "common/options.h"
 #include "common/status.h"
 #include "core/engine.h"
+#include "recovery/pipeline_util.h"
 #include "recovery/redo.h"
 #include "wal/log_manager.h"
 
@@ -281,10 +283,7 @@ class LogicalReplica {
 
   LogicalReplica() = default;
 
-  /// Rebuild the applier's table -> value_size registry from the catalog.
-  void RefreshTableRegistry() REQUIRES(apply_mu_);
-  bool LookupValueSize(TableId table, uint32_t* value_size) const
-      REQUIRES(apply_mu_);
+  class ReplayCrew;  ///< Apply partitions; defined in replica.cc.
 
   /// The applier core shared by PumpChunk and SyncFrom: scan `src` from
   /// `from`, buffer in-flight ops, apply committed transactions (parallel
@@ -293,7 +292,7 @@ class LogicalReplica {
   Status ApplyFrom(LogManager* src, Lsn from, Lsn* next, bool standby)
       REQUIRES(apply_mu_);
   Status ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn, LogManager* src,
-                           bool standby, void* crew, Mutex* gate,
+                           bool standby, ReplayCrew* crew, Mutex* gate,
                            bool* stop_injected) REQUIRES(apply_mu_);
   /// Projected row count of standby leaf `pid` this apply window (base
   /// count read once under the gate, then tracked dispatcher-side).
@@ -327,8 +326,7 @@ class LogicalReplica {
   std::vector<std::pair<PageId, int64_t>> window_
       GUARDED_BY(apply_mu_);  ///< Leaf count window.
   std::vector<std::pair<TableId, Key>> merge_keys_ GUARDED_BY(apply_mu_);
-  std::vector<std::pair<TableId, uint32_t>> table_value_sizes_
-      GUARDED_BY(apply_mu_);
+  TableRegistry tables_ GUARDED_BY(apply_mu_);  ///< table -> value size
   RedoLeafMemo memo_ GUARDED_BY(apply_mu_);
   std::string cursor_before_ GUARDED_BY(apply_mu_);
   std::string cursor_after_ GUARDED_BY(apply_mu_);

@@ -8,6 +8,37 @@
 //    the DPT purely from Δ-records (standard / perfect / reduced modes,
 //    App. D), builds the PF-list (App. A.2) and optionally preloads the
 //    index (App. A.1).
+//
+// Both run on the partition skeleton (pipeline_util.h) with `threads` DPT
+// shards. One log-scanning dispatcher resolves every DPT mutation to a
+// (pid, lsn) event and routes it by RedoPartitionOf(pid) to a shard that
+// owns a private DirtyPageTable. DPT operations on distinct PIDs commute
+// (the table is logically a map keyed by PID) and every PID's events land
+// in one FIFO, so per-page event order — the only order the DPT semantics
+// depend on — is the scan's. With threads == 1 the single shard applies
+// inline on the dispatcher's thread: no thread, no queue.
+//
+// What stays on the dispatcher, in log order: the ActiveTxnTable and
+// max_txn_id (assembled in LSN order, as undo requires), redo_start_lsn,
+// SMO/DDL redo in the DC pass (RedoSmo/RedoSmoMerge/RedoCreateTable touch
+// the buffer pool and the simulated clock — shards never do), the prev-Δ
+// TC-LSN chain that resolves each dirty-set entry's rLSN proxy before
+// routing, and all scan counters. Shards see only resolved scalars, so no
+// log-buffer Slice crosses a thread boundary and no alias guard is needed.
+//
+// PF-list (App. A.2): global first-mention DirtySet order. The dispatcher
+// stamps every routed dirty-set entry with a global sequence number; a
+// shard records (seq, pid) at its shard-local first mention — which IS the
+// global first mention, since a PID maps to exactly one shard — and the
+// merged list is sorted by seq.
+//
+// Simulated time. cpu_per_dpt_update_us is charged per DPT mutation event,
+// folded once at pass end (nothing in an analysis pass depends on absolute
+// time between records). Shards count their events and only the slowest
+// shard's share is charged — deterministic, independent of thread
+// scheduling — so DPT construction scales with recovery_threads the way
+// parallel redo's apply CPU does; a single shard's share is the whole
+// count. Log-page read I/O stays on the dispatcher's iterator (charge_io).
 #pragma once
 
 #include <cassert>
@@ -203,26 +234,27 @@ struct SqlAnalysisResult {
   uint64_t records_scanned = 0;
   uint64_t log_pages = 0;
   /// DPT mutation events performed (adds/updates/prune probes/removals) —
-  /// the unit cpu_per_dpt_update_us is charged per. Identical between the
-  /// serial pass and the sharded parallel pass on the same log.
+  /// the unit cpu_per_dpt_update_us is charged per. The same for every
+  /// shard count on the same log.
   uint64_t dpt_updates = 0;
-  uint32_t threads_used = 1;       ///< Shard workers (1 == serial pass).
+  uint32_t threads_used = 1;       ///< DPT shards (1 == inline).
   double shard_cpu_us_max = 0;     ///< Slowest shard's charged DPT CPU.
-  double shard_cpu_us_total = 0;   ///< Sum over shards (== max when serial).
+  double shard_cpu_us_total = 0;   ///< Sum over shards (== max at 1).
   /// Where redo must start. Equal to the analysis start under penultimate
   /// checkpointing; under ARIES checkpointing (§3.1) it reaches back to the
   /// oldest rLSN of the DPT captured in the checkpoint record.
   Lsn redo_start_lsn = kInvalidLsn;
 };
 
-/// Algorithm 3 over [bckpt_lsn, stable end). When `clock` is non-null, DPT
-/// mutation CPU (`cpu_per_dpt_update_us` per event) is charged to it at pass
-/// end — inline-equivalent for this pass, which has no absolute-time
-/// dependence. RecoveryManager passes the engine clock; direct callers that
-/// only care about the tables may omit it.
+/// Algorithm 3 over [bckpt_lsn, stable end) with `threads` DPT shards.
+/// When `clock` is non-null, DPT mutation CPU (`cpu_per_dpt_update_us` per
+/// event, slowest shard) is charged to it at pass end. RecoveryManager
+/// passes the engine clock; direct callers that only care about the tables
+/// may omit it. The DPT, ATT, redo_start_lsn and every counter are the same
+/// for every thread count.
 Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, SqlAnalysisResult* out,
                       SimClock* clock = nullptr,
-                      double cpu_per_dpt_update_us = 0);
+                      double cpu_per_dpt_update_us = 0, uint32_t threads = 1);
 
 struct DcRecoveryResult {
   DirtyPageTable dpt;
@@ -239,11 +271,13 @@ struct DcRecoveryResult {
   double shard_cpu_us_total = 0;
 };
 
-/// DC recovery over [bckpt_lsn, stable end). `build_dpt` is false for Log0
-/// (which still needs SMO redo for a well-formed tree); `preload_index`
-/// corresponds to Log2.
+/// DC recovery over [bckpt_lsn, stable end) with `threads` DPT shards.
+/// `build_dpt` is false for Log0 (which still needs SMO redo for a
+/// well-formed tree; with no DPT to shard it runs one inline shard);
+/// `preload_index` corresponds to Log2. DPT, PF-list (exact order) and
+/// counters are the same for every thread count.
 Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                      DptMode mode, bool build_dpt, bool preload_index,
-                     DcRecoveryResult* out);
+                     DcRecoveryResult* out, uint32_t threads = 1);
 
 }  // namespace deutero

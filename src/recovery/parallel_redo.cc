@@ -1,20 +1,14 @@
 #include "recovery/parallel_redo.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
-#include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "btree/btree.h"
 #include "common/mutex.h"
 #include "recovery/analysis.h"
 #include "recovery/pipeline_util.h"
-#include "recovery/prefetch.h"
 #include "storage/page.h"
 
 namespace deutero {
@@ -35,32 +29,6 @@ struct RedoWorkItem {
   Slice after;
 };
 
-/// Table facts a worker needs to apply an op without touching the DC's
-/// catalog structures: the fixed value size per table. Rebuilt by the
-/// dispatcher only while all workers are quiescent (pass start and
-/// CreateTable barriers), and read by workers only for items pushed after
-/// the rebuild — the ring hand-off orders the accesses.
-struct TableRegistry {
-  std::vector<std::pair<TableId, uint32_t>> value_sizes;
-
-  void Refresh(DataComponent* dc) {
-    value_sizes.clear();
-    for (const TableInfo& info : dc->catalog().tables()) {
-      BTree* tree = dc->FindTable(info.id);
-      if (tree != nullptr) value_sizes.emplace_back(info.id, tree->value_size());
-    }
-  }
-  bool Lookup(TableId id, uint32_t* value_size) const {
-    for (const auto& [tid, vs] : value_sizes) {
-      if (tid == id) {
-        *value_size = vs;
-        return true;
-      }
-    }
-    return false;
-  }
-};
-
 /// State shared by the dispatcher and all workers for one pass.
 struct PipelineShared {
   BufferPool* pool = nullptr;
@@ -71,157 +39,46 @@ struct PipelineShared {
   // rLSN/membership tests against their DPT shard).
   bool use_dpt = false;
   Lsn last_delta_tc_lsn = kInvalidLsn;
+  /// SQL family: run membership/rLSN tests worker-side against the shard
+  /// even though use_dpt (the logical flag) is off.
+  bool sql_dpt_tests = false;
   // Per-partition read-ahead (Log2 / SQL2). The serial prefetchers pace a
   // shared window by claims, which assumes pages are claimed in issue
   // order; partitions reorder claims, so the pipeline prefetches per
-  // consumer instead: each worker peeks its own queue — its exact
-  // upcoming page sequence — and keeps `read_ahead_budget` pages in
-  // flight (see TopUpReadAhead).
-  bool worker_read_ahead = false;
+  // consumer instead (RingReadAhead); 0 disables it.
   uint32_t read_ahead_budget = 0;
-  std::atomic<uint32_t> failed{0};  ///< Count of workers in error state.
 };
 
-/// One partition: a queue, a consumer thread, a pin cache, and a private
-/// result shard. The dispatcher is the only producer.
-class PartitionWorker {
+/// One redo partition: a DPT shard, a pin cache, a read-ahead window and a
+/// private result shard (merged by the dispatcher after the join).
+class RedoApplier {
  public:
-  PartitionWorker(PipelineShared* shared, DirtyPageTable shard_dpt,
-                  size_t ring_capacity, uint32_t pin_cache_cap)
+  using Item = RedoWorkItem;
+  static bool IsControl(const Item& item) {
+    return item.type == LogRecordType::kInvalid;
+  }
+
+  RedoApplier(PipelineShared* shared, DirtyPageTable shard_dpt,
+              uint32_t pin_cache_cap)
       : shared_(shared),
         dpt_(std::move(shard_dpt)),
-        ring_(ring_capacity),
-        pin_cache_cap_(pin_cache_cap == 0 ? 1 : pin_cache_cap) {}
+        pins_(shared->pool, &shared->pool_gate, pin_cache_cap),
+        read_ahead_(shared->pool, &shared->pool_gate,
+                    shared->read_ahead_budget) {}
 
-  void Start() { thread_ = std::thread([this] { Run(); }); }
-  void Join() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  /// Producer side: enqueue, spinning on backpressure. Safe against a dead
-  /// consumer: a failed worker keeps draining (and discarding) items.
-  void Push(const RedoWorkItem& item) {
-    uint32_t spins = 0;
-    while (!ring_.TryPush(item)) SpinWait(&spins);
-    pushed_++;
-  }
-
-  void SignalDone() { done_.store(true, std::memory_order_release); }
-
-  /// Barrier support: everything pushed so far has been APPLIED (not just
-  /// popped).
-  bool Drained() const {
-    return applied_.load(std::memory_order_acquire) == pushed_;
-  }
-
-  uint64_t pushed() const { return pushed_; }
-  uint64_t applied() const {
-    return applied_.load(std::memory_order_acquire);
-  }
-  bool failed() const { return failed_.load(std::memory_order_acquire); }
-  const Status& error() const { return error_; }  ///< Valid after Join().
-  const RedoResult& shard() const { return shard_; }
-  double cpu_us() const { return cpu_us_; }
-
- private:
-  struct CachedPin {
-    PageId pid = kInvalidPageId;
-    PageHandle handle;
-    bool dirtied = false;  ///< This pass already ran MarkDirty on the pin.
-    uint64_t last_use = 0;
-  };
-
-  void Run() {
-    RedoWorkItem item;
-    uint32_t spins = 0;
-    while (true) {
-      if (ring_.TryPop(&item)) {
-        spins = 0;
-        Process(item);
-        applied_.fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      if (done_.load(std::memory_order_acquire)) {
-        // Re-check the ring: the dispatcher pushes before signaling done.
-        if (!ring_.TryPop(&item)) break;
-        Process(item);
-        applied_.fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      SpinWait(&spins);
-    }
-    ReleaseAllPins();
-  }
-
-  void Process(const RedoWorkItem& item) {
-    if (item.type == LogRecordType::kInvalid) {  // control: release pins
-      ReleaseAllPins();
-      return;
-    }
-    if (failed_.load(std::memory_order_relaxed)) return;  // drain mode
-    const Status st = Apply(item);
-    if (!st.ok()) {
-      error_ = st;
-      failed_.store(true, std::memory_order_release);
-      shared_->failed.fetch_add(1, std::memory_order_release);
-    }
-  }
-
-  /// What the DPT (shard) says about one routed record — the worker half
-  /// of Algorithm 5 lines 5-8 / Algorithm 1 lines 4-8. Shared by the
-  /// apply path (which counts the skips) and the read-ahead (which
-  /// prefetches exactly the pages the apply path will fetch).
-  enum class DptOutcome : uint8_t {
-    kFetch,     ///< Page must be fetched for the pLSN test.
-    kTailFetch, ///< Same, via the tail-of-log fallback (§4.3).
-    kSkipDpt,   ///< Not in the DPT: cannot need redo, no fetch.
-    kSkipRlsn,  ///< LSN < rLSN: effect provably durable, no fetch.
-  };
-
-  DptOutcome Classify(const RedoWorkItem& item) const {
-    if (shared_->use_dpt) {
-      if (item.lsn >= shared_->last_delta_tc_lsn) return DptOutcome::kTailFetch;
-    } else if (!dpt_tests_enabled_) {
-      return DptOutcome::kFetch;  // Log0: every op fetches its page
-    }
-    const DirtyPageTable::Entry* e = dpt_.Find(item.pid);
-    if (e == nullptr) return DptOutcome::kSkipDpt;
-    if (item.lsn < e->rlsn) return DptOutcome::kSkipRlsn;
-    return DptOutcome::kFetch;
-  }
-
-  /// Per-partition read-ahead: peek this worker's own queue — its exact
-  /// upcoming page-access sequence — and issue asynchronous reads for the
-  /// next `read_ahead_budget` pages the apply loop will fetch. Claim
-  /// order equals issue order within a partition (the queue is FIFO), so
-  /// the pacing the serial window gets from the redo cursor is restored
-  /// here per partition, immune to cross-partition reordering.
-  void TopUpReadAhead() {
-    const uint32_t budget = shared_->read_ahead_budget;
-    ra_batch_.clear();
-    RedoWorkItem peeked;
-    for (uint64_t i = 0;
-         i < 8u * budget && ra_batch_.size() < budget && ring_.Peek(i, &peeked);
-         i++) {
-      if (peeked.type == LogRecordType::kInvalid) continue;  // control token
-      const DptOutcome o = Classify(peeked);
-      if (o != DptOutcome::kFetch && o != DptOutcome::kTailFetch) continue;
-      ra_batch_.push_back(peeked.pid);
-    }
-    if (!ra_batch_.empty()) {
-      MutexLock lock(&shared_->pool_gate);
-      shared_->pool->Prefetch(ra_batch_, PageClass::kData);
-    }
-  }
+  void Release() { pins_.ReleaseAll(); }
 
   /// The worker half of the serial pass's per-record logic: the DPT
   /// shard tests, then the pLSN idempotence test and the leaf apply.
-  Status Apply(const RedoWorkItem& item) {
-    if (shared_->worker_read_ahead &&
-        ++items_since_read_ahead_ >= shared_->read_ahead_budget) {
-      items_since_read_ahead_ = 0;
-      TopUpReadAhead();
-    }
+  Status Apply(const Item& item, const SpscRing<Item>& upcoming) {
+    // Prefetch exactly the pages the apply path will fetch.
+    read_ahead_.MaybeTopUp(upcoming, [this](const Item& next) {
+      if (IsControl(next)) return kInvalidPageId;
+      const DptOutcome o = Classify(next);
+      return o == DptOutcome::kFetch || o == DptOutcome::kTailFetch
+                 ? next.pid
+                 : kInvalidPageId;
+    });
     switch (Classify(item)) {
       case DptOutcome::kSkipDpt:
         shard_.skipped_dpt++;
@@ -236,223 +93,100 @@ class PartitionWorker {
         break;
     }
 
-    CachedPin* pin = nullptr;
-    DEUTERO_RETURN_NOT_OK(FindOrPin(item.pid, &pin));
+    PinCache::Pin* pin = nullptr;
+    DEUTERO_RETURN_NOT_OK(pins_.FindOrPin(item.pid, &pin));
     PageView page = pin->handle.view();
     if (item.lsn <= page.plsn()) {
       shard_.skipped_plsn++;
       return Status::OK();
     }
-
     uint32_t value_size = 0;
     if (!shared_->tables.Lookup(item.table_id, &value_size)) {
       return Status::NotFound("redo of op on unknown table");
     }
-    int64_t delta = 0;
-    Status st;
-    switch (item.type) {
-      case LogRecordType::kUpdate:
-        st = LeafApplyUpdate(page, value_size, item.key, item.after);
-        break;
-      case LogRecordType::kInsert:
-        st = LeafApplyInsert(page, value_size, item.key, item.after, &delta);
-        break;
-      case LogRecordType::kDelete:
-        st = LeafApplyDelete(page, value_size, item.key, &delta);
-        break;
-      case LogRecordType::kClr:
-        // Empty restored image compensates an insert (delete the row);
-        // otherwise restore as an upsert (see redo.cc ApplyDataOp).
-        if (item.after.empty()) {
-          st = LeafApplyDelete(page, value_size, item.key, &delta);
-        } else {
-          st = LeafApplyUpsert(page, value_size, item.key, item.after,
-                               &delta);
-        }
-        break;
-      default:
-        st = Status::InvalidArgument("not a data op");
-        break;
-    }
-    DEUTERO_RETURN_NOT_OK(st);
-    (void)delta;  // row accounting is scan-complete on the dispatcher
-
-    // Dirty/pLSN bookkeeping. The first modification of a held pin runs
-    // the full gated MarkDirty (dirty transition, FIFO, first-dirty LSN);
-    // after that the frame is dirty and stays dirty while pinned, so later
-    // records on the same leaf only need the pLSN stamp — a plain write to
-    // page bytes this partition owns.
-    if (pin->dirtied) {
-      page.set_plsn(item.lsn);
-    } else {
-      MutexLock lock(&shared_->pool_gate);
-      pin->handle.MarkDirty(item.lsn);
-      pin->dirtied = true;
-    }
+    DEUTERO_RETURN_NOT_OK(
+        ApplyLeafOp(page, item.type, value_size, item.key, item.after));
+    pins_.MarkDirty(pin, item.lsn);
     cpu_us_ += shared_->cpu_per_redo_apply_us;
     shard_.applied++;
     return Status::OK();
   }
 
-  Status FindOrPin(PageId pid, CachedPin** out) {
-    use_tick_++;
-    for (CachedPin& p : pins_) {
-      if (p.pid == pid) {
-        p.last_use = use_tick_;
-        *out = &p;
-        return Status::OK();
-      }
-    }
-    // Miss: evict the least-recently-used cache slot if at capacity, then
-    // pin the page — one gated section for both.
-    CachedPin* slot = nullptr;
-    if (pins_.size() < pin_cache_cap_) {
-      pins_.emplace_back();
-      slot = &pins_.back();
-    } else {
-      slot = &pins_[0];
-      for (CachedPin& p : pins_) {
-        if (p.last_use < slot->last_use) slot = &p;
-      }
-    }
-    {
-      MutexLock lock(&shared_->pool_gate);
-      slot->handle.Release();
-      DEUTERO_RETURN_NOT_OK(
-          shared_->pool->Get(pid, PageClass::kData, &slot->handle));
-    }
-    slot->pid = pid;
-    slot->dirtied = false;
-    slot->last_use = use_tick_;
-    *out = slot;
-    return Status::OK();
-  }
+  const RedoResult& shard() const { return shard_; }
+  double cpu_us() const { return cpu_us_; }
 
-  void ReleaseAllPins() {
-    if (pins_.empty()) return;
-    MutexLock lock(&shared_->pool_gate);
-    for (CachedPin& p : pins_) p.handle.Release();
-    pins_.clear();
+ private:
+  /// What the DPT (shard) says about one routed record — the worker half
+  /// of Algorithm 5 lines 5-8 / Algorithm 1 lines 4-8. Shared by the
+  /// apply path (which counts the skips) and the read-ahead (which
+  /// prefetches exactly the pages the apply path will fetch).
+  enum class DptOutcome : uint8_t {
+    kFetch,     ///< Page must be fetched for the pLSN test.
+    kTailFetch, ///< Same, via the tail-of-log fallback (§4.3).
+    kSkipDpt,   ///< Not in the DPT: cannot need redo, no fetch.
+    kSkipRlsn,  ///< LSN < rLSN: effect provably durable, no fetch.
+  };
+
+  DptOutcome Classify(const Item& item) const {
+    if (shared_->use_dpt) {
+      if (item.lsn >= shared_->last_delta_tc_lsn) return DptOutcome::kTailFetch;
+    } else if (!shared_->sql_dpt_tests) {
+      return DptOutcome::kFetch;  // Log0: every op fetches its page
+    }
+    const DirtyPageTable::Entry* e = dpt_.Find(item.pid);
+    if (e == nullptr) return DptOutcome::kSkipDpt;
+    if (item.lsn < e->rlsn) return DptOutcome::kSkipRlsn;
+    return DptOutcome::kFetch;
   }
 
   PipelineShared* shared_;
   DirtyPageTable dpt_;
-  SpscRing<RedoWorkItem> ring_;
-  const uint32_t pin_cache_cap_;
-  std::thread thread_;
-
-  uint64_t pushed_ = 0;  ///< Producer-side only.
-  alignas(64) std::atomic<uint64_t> applied_{0};
-  std::atomic<bool> done_{false};
-  std::atomic<bool> failed_{false};
-
-  // Consumer-side state (merged by the dispatcher after Join()).
-  Status error_;
+  PinCache pins_;
+  RingReadAhead read_ahead_;
   RedoResult shard_;
   double cpu_us_ = 0;
-  std::vector<CachedPin> pins_;
-  uint64_t use_tick_ = 0;
-  std::vector<PageId> ra_batch_;  ///< Read-ahead scratch (reused).
-  /// Huge initial value forces a top-up on the first item.
-  uint64_t items_since_read_ahead_ = uint64_t{1} << 62;
-
- public:
-  /// SQL family: run membership/rLSN tests worker-side against the shard
-  /// even though use_dpt (the logical flag) is off.
-  void EnableDptTests() { dpt_tests_enabled_ = true; }
-
- private:
-  bool dpt_tests_enabled_ = false;
 };
-
-/// Per-worker read-ahead budget: the serial prefetch window (shared
-/// cache-pressure throttle, see RedoPrefetchWindow) split across
-/// partitions, at least 2 pages each.
-uint32_t ReadAheadBudget(const BufferPool& pool, const EngineOptions& options,
-                         uint32_t threads) {
-  const uint32_t window = RedoPrefetchWindow(pool, options);
-  return std::max<uint32_t>(2, window / (threads == 0 ? 1 : threads));
-}
-
-/// Pin-cache capacity that keeps worst-case pinned frames well below pool
-/// capacity even at test-sized caches: an eighth of the pool split across
-/// workers, at least 1, at most 8 per worker.
-uint32_t PinCacheCapacity(const BufferPool& pool, uint32_t threads) {
-  const uint64_t budget = pool.capacity() / 8;
-  const uint64_t per = budget / (threads == 0 ? 1 : threads);
-  if (per < 1) return 1;
-  return per > 8 ? 8 : static_cast<uint32_t>(per);
-}
 
 constexpr size_t kRingCapacity = 4096;
 
-class WorkerPool {
- public:
-  WorkerPool(PipelineShared* shared, const DirtyPageTable* dpt,
-             uint32_t threads, uint32_t pin_cap, bool sql_dpt_tests) {
-    std::vector<DirtyPageTable> shards;
-    if (dpt != nullptr) {
-      BuildDptShards(*dpt, threads, &shards);
-    } else {
-      shards.resize(threads);
-    }
-    workers_.reserve(threads);
-    for (uint32_t i = 0; i < threads; i++) {
-      workers_.push_back(std::make_unique<PartitionWorker>(
-          shared, std::move(shards[i]), kRingCapacity, pin_cap));
-      if (sql_dpt_tests) workers_.back()->EnableDptTests();
-    }
-    for (auto& w : workers_) w->Start();
+using RedoWorkers = WorkerPool<RedoApplier>;
+
+/// Start the partition fleet, each worker with its DPT shard (`dpt` null:
+/// no DPT tests, as in Log0).
+RedoWorkers StartWorkers(PipelineShared* shared, const DirtyPageTable* dpt,
+                         uint32_t threads) {
+  std::vector<DirtyPageTable> shards;
+  if (dpt != nullptr) {
+    BuildDptShards(*dpt, threads, &shards);
+  } else {
+    shards.resize(threads);
   }
+  const uint32_t pin_cap = PinCacheCapacity(*shared->pool, threads);
+  return RedoWorkers(threads, kRingCapacity, [&](uint32_t i) {
+    return RedoApplier(shared, std::move(shards[i]), pin_cap);
+  });
+}
 
-  void Route(uint32_t partition, const RedoWorkItem& item) {
-    workers_[partition]->Push(item);
+/// Shut down, join, and merge every worker's shard into `out`. Returns
+/// the first (lowest-partition) worker error, if any.
+Status FinishWorkers(RedoWorkers* workers, RedoResult* out) {
+  const Status first_error = workers->Finish();
+  double cpu_max = 0;
+  for (uint32_t i = 0; i < workers->partitions(); i++) {
+    const RedoApplier& w = workers->applier(i);
+    const RedoResult& s = w.shard();
+    out->applied += s.applied;
+    out->skipped_dpt += s.skipped_dpt;
+    out->skipped_rlsn += s.skipped_rlsn;
+    out->skipped_plsn += s.skipped_plsn;
+    out->tail_ops += s.tail_ops;
+    out->worker_cpu_us_total += w.cpu_us();
+    if (w.cpu_us() > cpu_max) cpu_max = w.cpu_us();
   }
-
-  /// Tell every worker to drop its pins, then wait until every queue is
-  /// fully applied. Used around SMO/DDL records and at end of pass.
-  void DrainBarrier() {
-    RedoWorkItem release_pins;  // type == kInvalid
-    for (auto& w : workers_) w->Push(release_pins);
-    for (auto& w : workers_) {
-      uint32_t spins = 0;
-      while (!w->Drained()) SpinWait(&spins);
-    }
-  }
-
-  bool AnyFailed(const PipelineShared& shared) const {
-    return shared.failed.load(std::memory_order_acquire) != 0;
-  }
-
-  /// Shut down, join, and merge every worker's shard into `out`. Returns
-  /// the first (lowest-partition) worker error, if any.
-  Status Finish(RedoResult* out) {
-    RedoWorkItem release_pins;
-    for (auto& w : workers_) w->Push(release_pins);
-    for (auto& w : workers_) w->SignalDone();
-    for (auto& w : workers_) w->Join();
-
-    Status first_error;
-    double cpu_max = 0;
-    for (auto& w : workers_) {
-      if (w->failed() && first_error.ok()) first_error = w->error();
-      const RedoResult& s = w->shard();
-      out->applied += s.applied;
-      out->skipped_dpt += s.skipped_dpt;
-      out->skipped_rlsn += s.skipped_rlsn;
-      out->skipped_plsn += s.skipped_plsn;
-      out->tail_ops += s.tail_ops;
-      out->worker_cpu_us_total += w->cpu_us();
-      if (w->cpu_us() > cpu_max) cpu_max = w->cpu_us();
-    }
-    out->worker_cpu_us_max = cpu_max;
-    out->threads_used = static_cast<uint32_t>(workers_.size());
-    return first_error;
-  }
-
- private:
-  std::vector<std::unique_ptr<PartitionWorker>> workers_;
-};
+  out->worker_cpu_us_max = cpu_max;
+  out->threads_used = workers->partitions();
+  return first_error;
+}
 
 /// Batches the dispatcher's simulated charges — per-record scan CPU and
 /// sequential log-page reads (its iterator runs charge_io=false; every
@@ -501,12 +235,12 @@ Status FinishPipeline(DataComponent* dc, const EngineOptions& options,
                       const LogManager::Iterator& it,
                       uint64_t log_pages_metered, double stall_ms_at_start,
                       const LogManager::AliasGuard& alias,
-                      DispatchClockMeter* scan_clock, WorkerPool* workers,
+                      DispatchClockMeter* scan_clock, RedoWorkers* workers,
                       const Status& scan_status, RedoResult* out) {
   out->log_pages = it.pages_read();  // filled on error exits too
   scan_clock->AddUs((it.pages_read() - log_pages_metered) *
                     options.io.log_page_read_ms * 1e3);
-  const Status worker_status = workers->Finish(out);
+  const Status worker_status = FinishWorkers(workers, out);
   assert(alias.Intact());
   (void)alias;
   scan_clock->Flush();
@@ -556,13 +290,11 @@ Status RunLogicalRedoParallel(LogManager* log, DataComponent* dc,
     // serial PF-list is subsumed: a worker's queue lists the same pages
     // in exactly the order THIS partition will touch them. Same
     // cache-pressure throttle as the serial window, split across workers.
-    shared.worker_read_ahead = true;
     shared.read_ahead_budget = ReadAheadBudget(dc->pool(), options, threads);
   }
 
-  WorkerPool workers(&shared, use_dpt ? dpt : nullptr, threads,
-                     PinCacheCapacity(dc->pool(), threads),
-                     /*sql_dpt_tests=*/false);
+  RedoWorkers workers =
+      StartWorkers(&shared, use_dpt ? dpt : nullptr, threads);
 
   const double stall_ms_at_start = dc->pool().stats().stall_ms;
   DispatchClockMeter scan_clock(&dc->clock(), &shared.pool_gate);
@@ -614,8 +346,8 @@ Status RunLogicalRedoParallel(LogManager* log, DataComponent* dc,
       item.lsn = rec.lsn;
       item.pid = pid;
       item.after = rec.after;
-      workers.Route(RedoPartitionOf(pid, threads), item);
-      if (workers.AnyFailed(shared)) break;  // stop scanning early
+      workers.Route(pid, item);
+      if (workers.AnyFailed()) break;  // stop scanning early
     }
     return Status::OK();
   }();
@@ -645,13 +377,11 @@ Status RunSqlRedoParallel(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
     // The routed queue IS the log stream restricted to this partition, so
     // peeking it is the "scan the log ahead of the redo cursor" of the
     // serial prefetcher with the rLSN test applied at issue time.
-    shared.worker_read_ahead = true;
     shared.read_ahead_budget = ReadAheadBudget(dc->pool(), options, threads);
   }
 
-  WorkerPool workers(&shared, dpt, threads,
-                     PinCacheCapacity(dc->pool(), threads),
-                     /*sql_dpt_tests=*/true);
+  shared.sql_dpt_tests = true;
+  RedoWorkers workers = StartWorkers(&shared, dpt, threads);
 
   const double stall_ms_at_start = dc->pool().stats().stall_ms;
   DispatchClockMeter scan_clock(&dc->clock(), &shared.pool_gate);
@@ -742,8 +472,8 @@ Status RunSqlRedoParallel(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
       item.lsn = rec.lsn;
       item.pid = rec.pid;
       item.after = rec.after;
-      workers.Route(RedoPartitionOf(rec.pid, threads), item);
-      if (workers.AnyFailed(shared)) break;
+      workers.Route(rec.pid, item);
+      if (workers.AnyFailed()) break;
     }
     return Status::OK();
   }();

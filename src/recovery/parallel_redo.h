@@ -57,9 +57,14 @@
 //    I/O-gated pass converges to the data I/O floor and a cache-resident
 //    pass shows the 1/N CPU scaling.
 //
-// recovery_threads == 1 does not go through this code at all: the
-// RecoveryManager calls the serial RunLogicalRedo/RunSqlRedo, preserving
-// today's behavior bit-exactly.
+// The workers are the shared partition skeleton (pipeline_util.h); this
+// file supplies only the redo item and its Apply. recovery_threads == 1
+// does not go through this code: the RecoveryManager calls the serial
+// RunLogicalRedo/RunSqlRedo. Those pace one shared prefetch window
+// (PfListPrefetcher/LogDrivenPrefetcher) and charge the clock per record,
+// where the pipeline uses per-worker ring-peek read-ahead and batches
+// clock charges (DispatchClockMeter), so running them as a one-partition
+// pipeline would move fig2a's simulated times.
 #pragma once
 
 #include <cstdint>
@@ -70,17 +75,11 @@
 #include "common/types.h"
 #include "dc/data_component.h"
 #include "recovery/dpt.h"
+#include "recovery/pipeline_util.h"
 #include "recovery/redo.h"
 #include "wal/log_manager.h"
 
 namespace deutero {
-
-/// Stable partition map: which of `n` partitions owns `pid`. Exposed so
-/// tests can assert routing invariants.
-inline uint32_t RedoPartitionOf(PageId pid, uint32_t n) {
-  return static_cast<uint32_t>(
-      ((static_cast<uint64_t>(pid) * 0x9E3779B97F4A7C15ull) >> 32) % n);
-}
 
 /// Split a finished DPT into per-partition shards along RedoPartitionOf.
 /// rLSN/lastLSN are copied exactly; the union of the shards is the input.

@@ -4,7 +4,6 @@
 
 #include "recovery/analysis.h"
 #include "recovery/dpt.h"
-#include "recovery/parallel_analysis.h"
 #include "recovery/parallel_redo.h"
 #include "recovery/redo.h"
 #include "recovery/undo.h"
@@ -73,14 +72,9 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
     const bool build_dpt = method != RecoveryMethod::kLog0;
     const bool preload = method == RecoveryMethod::kLog2;
     DcRecoveryResult dcr;
-    if (options_.recovery_threads > 1) {
-      DEUTERO_RETURN_NOT_OK(RunDcRecoveryParallel(
-          log_, dc_, start, options_.dpt_mode, build_dpt, preload,
-          options_.recovery_threads, &dcr));
-    } else {
-      DEUTERO_RETURN_NOT_OK(RunDcRecovery(log_, dc_, start, options_.dpt_mode,
-                                          build_dpt, preload, &dcr));
-    }
+    DEUTERO_RETURN_NOT_OK(RunDcRecovery(log_, dc_, start, options_.dpt_mode,
+                                        build_dpt, preload, &dcr,
+                                        options_.recovery_threads));
     const double t1 = clock_->NowMs();
     stats->dc_pass = {t1 - t0, dcr.log_pages, dcr.records_scanned};
     stats->dpt_size = dcr.dpt.size();
@@ -109,14 +103,9 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
     max_txn_id = redo.max_txn_id;
   } else {
     SqlAnalysisResult ar;
-    if (options_.recovery_threads > 1) {
-      DEUTERO_RETURN_NOT_OK(RunSqlAnalysisParallel(
-          log_, start, options_.recovery_threads, &ar, clock_,
-          options_.io.cpu_per_dpt_update_us));
-    } else {
-      DEUTERO_RETURN_NOT_OK(RunSqlAnalysis(log_, start, &ar, clock_,
-                                           options_.io.cpu_per_dpt_update_us));
-    }
+    DEUTERO_RETURN_NOT_OK(RunSqlAnalysis(log_, start, &ar, clock_,
+                                         options_.io.cpu_per_dpt_update_us,
+                                         options_.recovery_threads));
     const double t1 = clock_->NowMs();
     stats->analysis = {t1 - t0, ar.log_pages, ar.records_scanned};
     stats->dpt_size = ar.dpt.size();
@@ -162,12 +151,8 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   // Undo pass — identical machinery for every method (§2.1).
   const double t_undo0 = clock_->NowMs();
   UndoResult ur;
-  if (options_.recovery_threads > 1) {
-    DEUTERO_RETURN_NOT_OK(
-        RunUndoParallel(log_, dc_, att, options_.recovery_threads, &ur));
-  } else {
-    DEUTERO_RETURN_NOT_OK(RunUndo(log_, dc_, att, &ur));
-  }
+  DEUTERO_RETURN_NOT_OK(RunUndo(log_, dc_, att, &ur, /*max_ops_for_test=*/0,
+                                options_.recovery_threads));
   const double t_undo1 = clock_->NowMs();
   stats->undo = {t_undo1 - t_undo0, 0, 0};
   stats->txns_undone = ur.txns_undone;

@@ -82,6 +82,15 @@ inline uint32_t RedoPrefetchWindow(const BufferPool& pool,
       std::max<uint32_t>(4, static_cast<uint32_t>(pool.capacity() / 8)));
 }
 
+/// Per-worker read-ahead budget of the partitioned redo and undo passes:
+/// the prefetch window split across partitions, at least 2 pages each.
+inline uint32_t ReadAheadBudget(const BufferPool& pool,
+                                const EngineOptions& options,
+                                uint32_t threads) {
+  const uint32_t window = RedoPrefetchWindow(pool, options);
+  return std::max<uint32_t>(2, window / (threads == 0 ? 1 : threads));
+}
+
 /// TC redo pass for the logical family.
 ///   use_dpt=false  -> Log0 semantics (every op fetches its page).
 ///   use_dpt=true   -> Algorithm 5; `dpt` and `last_delta_tc_lsn` required.

@@ -47,17 +47,17 @@ struct RecoveryStats {
                                        ///< CPU the pipeline spread out).
   uint64_t redo_smo_barriers = 0;      ///< Drain barriers for SMO/DDL.
 
-  // Parallel analysis / DPT construction (recovery_threads > 1).
-  uint32_t analysis_threads = 1;       ///< Shard workers used by the DPT
-                                       ///< build (DC pass or SQL analysis).
+  // Analysis / DPT construction, sharded by recovery_threads.
+  uint32_t analysis_threads = 1;       ///< DPT shards used by the build
+                                       ///< (DC pass or SQL analysis).
   uint64_t dpt_updates = 0;            ///< DPT mutation events charged at
                                        ///< cpu_per_dpt_update_us each.
   double analysis_shard_cpu_ms_max = 0;   ///< Slowest shard's DPT CPU
                                           ///< (folded into the pass time).
   double analysis_shard_cpu_ms_total = 0; ///< Sum over shards.
 
-  // Parallel undo (recovery_threads > 1).
-  uint32_t undo_threads = 1;           ///< Apply workers used by undo.
+  // Undo, fanned out by recovery_threads.
+  uint32_t undo_threads = 1;           ///< Apply partitions used by undo.
 
   // I/O behaviour during recovery (buffer pool deltas).
   uint64_t data_page_fetches = 0;

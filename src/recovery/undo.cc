@@ -1,19 +1,13 @@
 #include "recovery/undo.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <queue>
 #include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "btree/btree.h"
 #include "common/mutex.h"
-#include "recovery/parallel_redo.h"  // RedoPartitionOf
 #include "recovery/pipeline_util.h"
-#include "recovery/redo.h"  // RedoPrefetchWindow
+#include "recovery/redo.h"  // ReadAheadBudget
 
 namespace deutero {
 
@@ -44,397 +38,91 @@ struct UndoWorkItem {
   std::string value;
 };
 
-/// State shared by the undo dispatcher and its apply workers.
-struct UndoShared {
-  BufferPool* pool = nullptr;
-  Mutex pool_gate;  ///< Serializes EVERY pool/disk touch (cf. redo).
-  std::vector<std::pair<TableId, uint32_t>> value_sizes;
-  uint32_t read_ahead_budget = 0;
-  std::atomic<uint32_t> failed{0};
-};
-
-/// One apply partition: a queue, a consumer thread, a pin cache. Identical
-/// in shape to redo's PartitionWorker, minus the DPT tests (every undo
-/// restore touches its page) and the apply-CPU fold (the serial undo pass
-/// charges no apply CPU either — its cost is I/O, which the shared clock
-/// already accounts under the gate).
-class UndoApplyWorker {
+/// One update-undo apply partition: a pin cache and ring-peek read-ahead.
+/// Compared with redo's it has no DPT tests (every restore touches its
+/// page) and no apply-CPU fold (the undo pass charges no apply CPU — its
+/// cost is I/O, which the shared clock already accounts under the gate).
+class UndoApplier {
  public:
-  UndoApplyWorker(UndoShared* shared, uint32_t pin_cache_cap)
-      : shared_(shared),
-        ring_(kUndoRingCapacity),
-        pin_cache_cap_(pin_cache_cap == 0 ? 1 : pin_cache_cap) {}
-
-  void Start() {
-    thread_ = std::thread([this] { Run(); });
-  }
-  void Join() {
-    if (thread_.joinable()) thread_.join();
+  using Item = UndoWorkItem;
+  static bool IsControl(const Item& item) {
+    return item.pid == kInvalidPageId;
   }
 
-  void Push(const UndoWorkItem& item) {
-    uint32_t spins = 0;
-    while (!ring_.TryPush(item)) SpinWait(&spins);
-    pushed_++;
-  }
+  UndoApplier(BufferPool* pool, Mutex* gate, const TableRegistry* tables,
+              uint32_t pin_cache_cap, uint32_t read_ahead_budget)
+      : tables_(tables),
+        pins_(pool, gate, pin_cache_cap),
+        read_ahead_(pool, gate, read_ahead_budget) {}
 
-  void SignalDone() { done_.store(true, std::memory_order_release); }
+  void Release() { pins_.ReleaseAll(); }
 
-  /// Everything pushed so far has been APPLIED (not just popped).
-  bool Drained() const {
-    return applied_.load(std::memory_order_acquire) == pushed_;
-  }
-
-  bool failed() const { return failed_.load(std::memory_order_acquire); }
-  const Status& error() const { return error_; }  ///< Valid after Join().
-
- private:
-  struct CachedPin {
-    PageId pid = kInvalidPageId;
-    PageHandle handle;
-    bool dirtied = false;  ///< This pass already ran MarkDirty on the pin.
-    uint64_t last_use = 0;
-  };
-
-  void Run() {
-    UndoWorkItem item;
-    uint32_t spins = 0;
-    while (true) {
-      if (ring_.TryPop(&item)) {
-        spins = 0;
-        Process(item);
-        applied_.fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      if (done_.load(std::memory_order_acquire)) {
-        // Re-check the ring: the dispatcher pushes before signaling done.
-        if (!ring_.TryPop(&item)) break;
-        Process(item);
-        applied_.fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      SpinWait(&spins);
-    }
-    ReleaseAllPins();
-  }
-
-  void Process(const UndoWorkItem& item) {
-    if (item.pid == kInvalidPageId) {  // control: release pins
-      ReleaseAllPins();
-      return;
-    }
-    if (failed_.load(std::memory_order_relaxed)) return;  // drain mode
-    const Status st = Apply(item);
-    if (!st.ok()) {
-      error_ = st;
-      failed_.store(true, std::memory_order_release);
-      shared_->failed.fetch_add(1, std::memory_order_release);
-    }
-  }
-
-  /// Ring-peek read-ahead (cf. redo's TopUpReadAhead): this worker's queue
-  /// IS its upcoming leaf-access sequence, and undo restores have no skip
-  /// tests — every item fetches — so prefetch everything peeked. The undo
-  /// pass's misses are the expensive random seeks; keeping
-  /// `read_ahead_budget` of them in flight per partition is what the
-  /// multi-channel SimDisk overlaps.
-  void TopUpReadAhead() {
-    const uint32_t budget = shared_->read_ahead_budget;
-    ra_batch_.clear();
-    UndoWorkItem peeked;
-    for (uint64_t i = 0; i < 8u * budget && ra_batch_.size() < budget &&
-                         ring_.Peek(i, &peeked);
-         i++) {
-      if (peeked.pid == kInvalidPageId) continue;  // control token
-      ra_batch_.push_back(peeked.pid);
-    }
-    if (!ra_batch_.empty()) {
-      MutexLock lock(&shared_->pool_gate);
-      shared_->pool->Prefetch(ra_batch_, PageClass::kData);
-    }
-  }
-
-  Status Apply(const UndoWorkItem& item) {
-    if (++items_since_read_ahead_ >= shared_->read_ahead_budget) {
-      items_since_read_ahead_ = 0;
-      TopUpReadAhead();
-    }
-    CachedPin* pin = nullptr;
-    DEUTERO_RETURN_NOT_OK(FindOrPin(item.pid, &pin));
-    PageView page = pin->handle.view();
+  Status Apply(const Item& item, const SpscRing<Item>& upcoming) {
+    // The undo pass's misses are the expensive random seeks; keeping the
+    // budget of them in flight per partition is what the multi-channel
+    // SimDisk overlaps. Every restore fetches: prefetch everything peeked.
+    read_ahead_.MaybeTopUp(upcoming, [](const Item& next) { return next.pid; });
+    PinCache::Pin* pin = nullptr;
+    DEUTERO_RETURN_NOT_OK(pins_.FindOrPin(item.pid, &pin));
     uint32_t value_size = 0;
-    if (![&] {
-          for (const auto& [tid, vs] : shared_->value_sizes) {
-            if (tid == item.table_id) {
-              value_size = vs;
-              return true;
-            }
-          }
-          return false;
-        }()) {
+    if (!tables_->Lookup(item.table_id, &value_size)) {
       return Status::NotFound("undo of op on unknown table");
     }
-    DEUTERO_RETURN_NOT_OK(
-        LeafApplyUpdate(page, value_size, item.key, Slice(item.value)));
-    // First modification of a held pin runs the full gated MarkDirty;
-    // after that the frame stays dirty while pinned, so later restores on
-    // the same leaf only need the pLSN stamp (cf. redo's apply path).
-    if (pin->dirtied) {
-      page.set_plsn(item.lsn);
-    } else {
-      MutexLock lock(&shared_->pool_gate);
-      pin->handle.MarkDirty(item.lsn);
-      pin->dirtied = true;
-    }
+    DEUTERO_RETURN_NOT_OK(LeafApplyUpdate(pin->handle.view(), value_size,
+                                          item.key, Slice(item.value)));
+    pins_.MarkDirty(pin, item.lsn);
     return Status::OK();
   }
 
-  Status FindOrPin(PageId pid, CachedPin** out) {
-    use_tick_++;
-    for (CachedPin& p : pins_) {
-      if (p.pid == pid) {
-        p.last_use = use_tick_;
-        *out = &p;
-        return Status::OK();
-      }
-    }
-    CachedPin* slot = nullptr;
-    if (pins_.size() < pin_cache_cap_) {
-      pins_.emplace_back();
-      slot = &pins_.back();
-    } else {
-      slot = &pins_[0];
-      for (CachedPin& p : pins_) {
-        if (p.last_use < slot->last_use) slot = &p;
-      }
-    }
-    {
-      MutexLock lock(&shared_->pool_gate);
-      slot->handle.Release();
-      DEUTERO_RETURN_NOT_OK(
-          shared_->pool->Get(pid, PageClass::kData, &slot->handle));
-    }
-    slot->pid = pid;
-    slot->dirtied = false;
-    slot->last_use = use_tick_;
-    *out = slot;
-    return Status::OK();
-  }
-
-  void ReleaseAllPins() {
-    if (pins_.empty()) return;
-    MutexLock lock(&shared_->pool_gate);
-    for (CachedPin& p : pins_) p.handle.Release();
-    pins_.clear();
-  }
-
-  UndoShared* shared_;
-  SpscRing<UndoWorkItem> ring_;
-  const uint32_t pin_cache_cap_;
-  std::thread thread_;
-
-  uint64_t pushed_ = 0;  ///< Producer-side only.
-  alignas(64) std::atomic<uint64_t> applied_{0};
-  std::atomic<bool> done_{false};
-  std::atomic<bool> failed_{false};
-
-  // Consumer-side state.
-  Status error_;
-  std::vector<CachedPin> pins_;
-  uint64_t use_tick_ = 0;
-  std::vector<PageId> ra_batch_;  ///< Read-ahead scratch (reused).
-  /// Huge initial value forces a top-up on the first item.
-  uint64_t items_since_read_ahead_ = uint64_t{1} << 62;
+ private:
+  const TableRegistry* tables_;
+  PinCache pins_;
+  RingReadAhead read_ahead_;
 };
 
 }  // namespace
 
 Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
-               UndoResult* out, uint64_t max_ops_for_test) {
-  *out = UndoResult();
-  std::priority_queue<UndoCursor> heap;
-  for (const auto& [txn, last] : att) {
-    heap.push(UndoCursor{last, txn, last});
-  }
-
-  // Scratch records hoisted out of the loop: ReadRecordAt copy-assigns into
-  // `rec` (LogRecordView::CopyTo reuses string capacity) and the CLR/abort
-  // fields below are fully re-assigned per use, so steady-state rollback
-  // performs zero heap allocations per record (hotpath_alloc_test).
-  LogRecord rec;
-  LogRecord clr;
-  LogRecord abort;
-  abort.type = LogRecordType::kTxnAbort;
-
-  auto finish_txn = [&](const UndoCursor& cur) {
-    abort.txn_id = cur.txn;
-    abort.prev_lsn = cur.last_lsn;
-    log->Append(abort);
-    out->txns_undone++;
-  };
-
-  while (!heap.empty()) {
-    if (max_ops_for_test != 0 && out->ops_undone >= max_ops_for_test) {
-      log->Flush();  // simulate a crash mid-undo: CLRs durable, no aborts
-      return Status::OK();
-    }
-    UndoCursor cur = heap.top();
-    heap.pop();
-    if (cur.next == kInvalidLsn) {
-      finish_txn(cur);
-      continue;
-    }
-    DEUTERO_RETURN_NOT_OK(log->ReadRecordAt(cur.next, &rec, true));
-    switch (rec.type) {
-      case LogRecordType::kUpdate:
-      case LogRecordType::kInsert:
-      case LogRecordType::kDelete: {
-        // Logical undo (§1.2): rediscover the record's page by key. The
-        // undo of a delete re-inserts the before-image, so it must ensure
-        // leaf space first (PrepareInsert splits — and logs SMOs — if the
-        // leaf filled up since the delete).
-        PageId pid = kInvalidPageId;
-        if (rec.type == LogRecordType::kDelete) {
-          DEUTERO_RETURN_NOT_OK(
-              dc->PrepareInsert(rec.table_id, rec.key, &pid));
-        } else {
-          DEUTERO_RETURN_NOT_OK(dc->FindLeaf(rec.table_id, rec.key, &pid));
-        }
-        clr.type = LogRecordType::kClr;
-        clr.txn_id = cur.txn;
-        clr.table_id = rec.table_id;
-        clr.key = rec.key;
-        if (rec.type == LogRecordType::kInsert) {
-          clr.after.clear();
-        } else {
-          clr.after = rec.before;
-        }
-        clr.pid = pid;
-        clr.undo_next_lsn = rec.prev_lsn;
-        // Row-count effect of the compensation, carried on the record so a
-        // later recovery's scan-complete row accounting replays it.
-        clr.clr_row_delta = rec.type == LogRecordType::kInsert  ? -1
-                            : rec.type == LogRecordType::kDelete ? 1
-                                                                 : 0;
-        const Lsn clr_lsn = log->Append(clr);
-        switch (rec.type) {
-          case LogRecordType::kUpdate:
-            DEUTERO_RETURN_NOT_OK(dc->ApplyUpdate(rec.table_id, pid, rec.key,
-                                                  rec.before, clr_lsn));
-            break;
-          case LogRecordType::kInsert: {
-            // Undoing an insert is a delete: it may leave the leaf
-            // underfull and trigger a merge SMO — logged, exactly like the
-            // splits PrepareInsert can log during undo of a delete. Undo
-            // runs identically for every method after redo, so the merges
-            // it performs are deterministic across methods too.
-            bool underfull = false;
-            DEUTERO_RETURN_NOT_OK(dc->ApplyDelete(rec.table_id, pid, rec.key,
-                                                  clr_lsn, &underfull));
-            if (underfull) {
-              DEUTERO_RETURN_NOT_OK(dc->MaybeMergeLeaf(rec.table_id, rec.key));
-            }
-            break;
-          }
-          default:  // kDelete: restore the row
-            DEUTERO_RETURN_NOT_OK(dc->ApplyUpsert(rec.table_id, pid, rec.key,
-                                                  rec.before, clr_lsn));
-            break;
-        }
-        out->ops_undone++;
-        out->clrs_written++;
-        cur.last_lsn = clr_lsn;
-        cur.next = rec.prev_lsn;
-        if (cur.next == kInvalidLsn) {
-          finish_txn(cur);
-        } else {
-          heap.push(cur);
-        }
-        break;
-      }
-      case LogRecordType::kClr:
-        // Already-compensated prefix: jump over it.
-        cur.next = rec.undo_next_lsn;
-        if (cur.next == kInvalidLsn) {
-          finish_txn(cur);
-        } else {
-          heap.push(cur);
-        }
-        break;
-      case LogRecordType::kTxnBegin:
-        finish_txn(cur);
-        break;
-      default:
-        // Commit/abort records cannot appear for losers; anything else in
-        // the chain is skipped through its backchain.
-        cur.next = rec.prev_lsn;
-        heap.push(cur);
-        break;
-    }
-  }
-  log->Flush();
-  return Status::OK();
-}
-
-Status RunUndoParallel(LogManager* log, DataComponent* dc,
-                       const ActiveTxnTable& att, uint32_t threads,
-                       UndoResult* out, uint64_t max_ops_for_test) {
-  if (threads < 2) return RunUndo(log, dc, att, out, max_ops_for_test);
+               UndoResult* out, uint64_t max_ops_for_test, uint32_t threads) {
+  threads = std::max(1u, threads);
   *out = UndoResult();
   out->threads_used = threads;
 
   // Quiesce the monitor and pool callbacks (a live monitor would react to
   // worker-side MarkDirty by appending Δ/BW records from worker threads,
-  // racing the dispatcher's CLR appends and breaking serial/parallel log
-  // byte-identity) — but NOT row-count tracking: undo maintains the exact
-  // counters apply-side, exactly like the serial pass. RecoveryManager
-  // already quiesces globally; this makes direct drivers (tests) safe.
+  // racing the dispatcher's CLR appends and breaking the log's
+  // byte-identity across thread counts) — but NOT row-count tracking: undo
+  // maintains the exact counters apply-side. RecoveryManager already
+  // quiesces globally; this makes direct drivers (tests) safe.
   const bool monitor_was = dc->monitor().enabled();
   const bool callbacks_were = dc->pool().callbacks_enabled();
   dc->monitor().set_enabled(false);
   dc->pool().set_callbacks_enabled(false);
 
-  UndoShared shared;
-  shared.pool = &dc->pool();
-  shared.read_ahead_budget = std::max<uint32_t>(
-      2, RedoPrefetchWindow(dc->pool(), dc->options()) / threads);
-  for (const TableInfo& info : dc->catalog().tables()) {
-    BTree* tree = dc->FindTable(info.id);
-    if (tree != nullptr) {
-      shared.value_sizes.emplace_back(info.id, tree->value_size());
-    }
-  }
+  Mutex pool_gate;  // serializes EVERY pool/disk touch (cf. redo)
   // Undo cannot create tables (DDL is a system transaction, never a
   // loser), so the registry is fixed for the whole pass.
-
-  const uint64_t budget = dc->pool().capacity() / 8;
-  const uint64_t per = budget / threads;
-  const uint32_t pin_cap =
-      per < 1 ? 1 : (per > 8 ? 8 : static_cast<uint32_t>(per));
-  std::vector<std::unique_ptr<UndoApplyWorker>> workers;
-  workers.reserve(threads);
-  for (uint32_t i = 0; i < threads; i++) {
-    workers.push_back(std::make_unique<UndoApplyWorker>(&shared, pin_cap));
-  }
-  for (auto& w : workers) w->Start();
-
-  // Workers drop their pins and go fully idle. Required before any
-  // structure change (split/merge/free): a worker pin on a merge victim
-  // would defer the merge (PR 5's cursor rule) and desynchronize the log
-  // from the serial pass's.
-  auto drain_barrier = [&] {
-    for (auto& w : workers) w->Push(UndoWorkItem());  // control: drop pins
-    for (auto& w : workers) {
-      uint32_t spins = 0;
-      while (!w->Drained()) SpinWait(&spins);
-    }
-  };
+  TableRegistry tables;
+  tables.Refresh(dc);
+  const uint32_t pin_cap = PinCacheCapacity(dc->pool(), threads);
+  const uint32_t read_ahead =
+      ReadAheadBudget(dc->pool(), dc->options(), threads);
+  WorkerPool<UndoApplier> fleet(threads, kUndoRingCapacity, [&](uint32_t) {
+    return UndoApplier(&dc->pool(), &pool_gate, &tables, pin_cap, read_ahead);
+  });
+  // With one thread nothing is routed: every op takes the dispatcher path.
+  const bool fan_out = threads > 1;
 
   const Status st = [&]() -> Status {
     std::priority_queue<UndoCursor> heap;
     for (const auto& [txn, last] : att) {
       heap.push(UndoCursor{last, txn, last});
     }
+    // Scratch records hoisted out of the loop: ReadRecordAt copy-assigns
+    // into `rec` (LogRecordView::CopyTo reuses string capacity) and the
+    // CLR/abort fields below are fully re-assigned per use, so steady-state
+    // rollback performs zero heap allocations per record
+    // (hotpath_alloc_test).
     LogRecord rec;
     LogRecord clr;
     LogRecord abort;
@@ -448,16 +136,16 @@ Status RunUndoParallel(LogManager* log, DataComponent* dc,
       out->txns_undone++;
     };
 
-    // The dispatcher IS the serial loop: same heap order, same backchain
-    // reads, same CLR/abort append sequence (it is the only appender), so
-    // the undo log stream is byte-identical to RunUndo's. Only the leaf
-    // restore of an update-undo leaves this thread.
+    // The dispatcher is the only appender: same heap order, same backchain
+    // reads, same CLR/abort append sequence for every thread count, so the
+    // undo log stream is byte-identical. Only the leaf restore of an
+    // update-undo leaves this thread.
     while (!heap.empty()) {
-      if (shared.failed.load(std::memory_order_acquire) != 0) {
-        return Status::OK();  // a worker failed; epilogue surfaces it
+      if (fleet.AnyFailed()) {
+        return Status::OK();  // a worker failed; the epilogue surfaces it
       }
       if (max_ops_for_test != 0 && out->ops_undone >= max_ops_for_test) {
-        return Status::OK();  // mid-undo crash point; epilogue flushes
+        return Status::OK();  // mid-undo crash point: CLRs flushed, no aborts
       }
       UndoCursor cur = heap.top();
       heap.pop();
@@ -469,55 +157,32 @@ Status RunUndoParallel(LogManager* log, DataComponent* dc,
       // it) and the clock's log-read charge is atomic.
       DEUTERO_RETURN_NOT_OK(log->ReadRecordAt(cur.next, &rec, true));
       switch (rec.type) {
-        case LogRecordType::kUpdate: {
-          // Index traversal touches the pool: gated. The traversal result
-          // is stable against in-flight worker restores — updates never
-          // change tree structure, and structure changes below happen only
-          // with all workers drained.
-          PageId pid = kInvalidPageId;
-          {
-            MutexLock lock(&shared.pool_gate);
-            DEUTERO_RETURN_NOT_OK(dc->FindLeaf(rec.table_id, rec.key, &pid));
-          }
-          clr.type = LogRecordType::kClr;
-          clr.txn_id = cur.txn;
-          clr.table_id = rec.table_id;
-          clr.key = rec.key;
-          clr.after = rec.before;
-          clr.pid = pid;
-          clr.undo_next_lsn = rec.prev_lsn;
-          clr.clr_row_delta = 0;
-          const Lsn clr_lsn = log->Append(clr);
-          item.pid = pid;
-          item.table_id = rec.table_id;
-          item.key = rec.key;
-          item.lsn = clr_lsn;
-          item.value = rec.before;
-          workers[RedoPartitionOf(pid, threads)]->Push(item);
-          out->ops_undone++;
-          out->clrs_written++;
-          cur.last_lsn = clr_lsn;
-          cur.next = rec.prev_lsn;
-          if (cur.next == kInvalidLsn) {
-            finish_txn(cur);
-          } else {
-            heap.push(cur);
-          }
-          break;
-        }
+        case LogRecordType::kUpdate:
         case LogRecordType::kInsert:
         case LogRecordType::kDelete: {
-          // Structure-changing undo: quiesce the fleet, then run the exact
-          // serial sequence dispatcher-side (PrepareInsert may log splits
-          // BEFORE the CLR; insert-undo may merge AFTER it — both need the
-          // tree to itself).
-          drain_barrier();
+          // Logical undo (§1.2): rediscover the record's page by key.
           PageId pid = kInvalidPageId;
-          if (rec.type == LogRecordType::kDelete) {
-            DEUTERO_RETURN_NOT_OK(
-                dc->PrepareInsert(rec.table_id, rec.key, &pid));
-          } else {
+          if (rec.type == LogRecordType::kUpdate) {
+            // The traversal touches the pool: gated. Its result is stable
+            // against in-flight worker restores — updates never change
+            // tree structure, and structure changes below happen only
+            // with all workers drained.
+            MutexLock lock(&pool_gate);
             DEUTERO_RETURN_NOT_OK(dc->FindLeaf(rec.table_id, rec.key, &pid));
+          } else {
+            // Structure-changing undo: quiesce the fleet, then run it on
+            // this thread (PrepareInsert may log splits BEFORE the CLR;
+            // insert-undo may merge AFTER it — both need the tree to
+            // itself). The undo of a delete re-inserts the before-image, so
+            // it must ensure leaf space first (PrepareInsert splits if the
+            // leaf filled up since the delete).
+            fleet.DrainBarrier();
+            if (rec.type == LogRecordType::kDelete) {
+              DEUTERO_RETURN_NOT_OK(
+                  dc->PrepareInsert(rec.table_id, rec.key, &pid));
+            } else {
+              DEUTERO_RETURN_NOT_OK(dc->FindLeaf(rec.table_id, rec.key, &pid));
+            }
           }
           clr.type = LogRecordType::kClr;
           clr.txn_id = cur.txn;
@@ -530,22 +195,47 @@ Status RunUndoParallel(LogManager* log, DataComponent* dc,
           }
           clr.pid = pid;
           clr.undo_next_lsn = rec.prev_lsn;
-          clr.clr_row_delta = rec.type == LogRecordType::kInsert ? -1 : 1;
+          // Row-count effect of the compensation, carried on the record so
+          // a later recovery's scan-complete row accounting replays it.
+          clr.clr_row_delta = rec.type == LogRecordType::kInsert  ? -1
+                              : rec.type == LogRecordType::kDelete ? 1
+                                                                   : 0;
           const Lsn clr_lsn = log->Append(clr);
-          if (rec.type == LogRecordType::kInsert) {
-            bool underfull = false;
-            DEUTERO_RETURN_NOT_OK(dc->ApplyDelete(rec.table_id, pid, rec.key,
-                                                  clr_lsn, &underfull));
-            if (underfull) {
-              DEUTERO_RETURN_NOT_OK(
-                  dc->MaybeMergeLeaf(rec.table_id, rec.key));
+          switch (rec.type) {
+            case LogRecordType::kUpdate:
+              if (fan_out) {
+                item.pid = pid;
+                item.table_id = rec.table_id;
+                item.key = rec.key;
+                item.lsn = clr_lsn;
+                item.value = rec.before;
+                fleet.Route(pid, item);
+              } else {
+                DEUTERO_RETURN_NOT_OK(dc->ApplyUpdate(
+                    rec.table_id, pid, rec.key, rec.before, clr_lsn));
+              }
+              break;
+            case LogRecordType::kInsert: {
+              // Undoing an insert is a delete: it may leave the leaf
+              // underfull and trigger a merge SMO — logged, exactly like
+              // the splits PrepareInsert can log during undo of a delete.
+              // Undo runs identically for every method after redo, so the
+              // merges it performs are deterministic across methods too.
+              bool underfull = false;
+              DEUTERO_RETURN_NOT_OK(dc->ApplyDelete(rec.table_id, pid, rec.key,
+                                                    clr_lsn, &underfull));
+              if (underfull) {
+                DEUTERO_RETURN_NOT_OK(
+                    dc->MaybeMergeLeaf(rec.table_id, rec.key));
+              }
+              break;
             }
-          } else {
-            DEUTERO_RETURN_NOT_OK(dc->ApplyUpsert(rec.table_id, pid, rec.key,
-                                                  rec.before, clr_lsn));
+            default:  // kDelete: restore the row
+              DEUTERO_RETURN_NOT_OK(dc->ApplyUpsert(rec.table_id, pid, rec.key,
+                                                    rec.before, clr_lsn));
+              break;
           }
           out->ops_undone++;
-          out->clrs_written++;
           cur.last_lsn = clr_lsn;
           cur.next = rec.prev_lsn;
           if (cur.next == kInvalidLsn) {
@@ -556,6 +246,7 @@ Status RunUndoParallel(LogManager* log, DataComponent* dc,
           break;
         }
         case LogRecordType::kClr:
+          // Already-compensated prefix: jump over it.
           cur.next = rec.undo_next_lsn;
           if (cur.next == kInvalidLsn) {
             finish_txn(cur);
@@ -567,6 +258,8 @@ Status RunUndoParallel(LogManager* log, DataComponent* dc,
           finish_txn(cur);
           break;
         default:
+          // Commit/abort records cannot appear for losers; anything else
+          // in the chain is skipped through its backchain.
           cur.next = rec.prev_lsn;
           heap.push(cur);
           break;
@@ -576,17 +269,13 @@ Status RunUndoParallel(LogManager* log, DataComponent* dc,
   }();
 
   // Epilogue: drain and stop the fleet (routed restores are applied, never
-  // discarded — an op whose CLR was appended must take effect, exactly as
-  // in the serial pass), then restore instrumentation and surface errors.
-  for (auto& w : workers) w->Push(UndoWorkItem());  // control: drop pins
-  for (auto& w : workers) w->SignalDone();
-  for (auto& w : workers) w->Join();
+  // discarded — an op whose CLR was appended must take effect), then
+  // restore instrumentation and surface errors.
+  const Status fleet_status = fleet.Finish();
   dc->pool().set_callbacks_enabled(callbacks_were);
   dc->monitor().set_enabled(monitor_was);
   DEUTERO_RETURN_NOT_OK(st);
-  for (auto& w : workers) {
-    if (w->failed()) return w->error();
-  }
+  DEUTERO_RETURN_NOT_OK(fleet_status);
   log->Flush();
   return Status::OK();
 }

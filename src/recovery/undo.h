@@ -15,34 +15,31 @@ namespace deutero {
 
 struct UndoResult {
   uint64_t txns_undone = 0;
-  uint64_t ops_undone = 0;
-  uint64_t clrs_written = 0;
-  uint32_t threads_used = 1;  ///< Apply workers (1 == serial pass).
+  uint64_t ops_undone = 0;  ///< One CLR appended per undone op.
+  uint32_t threads_used = 1;  ///< Apply partitions (1 == no fan-out).
 };
 
 /// Roll back every transaction in `att` (losers), interleaved in descending
 /// LSN order as ARIES prescribes. Appends CLRs and final abort records,
 /// then forces the log.
 ///
+/// The dispatcher (the calling thread) walks the loser heap and appends
+/// every CLR/abort in the same order for every `threads`, so the undo log
+/// stream is byte-identical across thread counts. With threads >= 2 the
+/// leaf before-image restores of update-undos fan out to hash(pid) apply
+/// workers with pin caches and ring-peek read-ahead (the undo pass's page
+/// misses are random 5 ms seeks; overlapping them across io_channels is
+/// where the time goes). Insert/delete undos change tree structure
+/// (splits, merges, row counts), so the dispatcher drains all workers to a
+/// barrier and applies those itself. With threads == 1 nothing is routed:
+/// every op applies on the dispatcher, through the DataComponent. Recovered
+/// state and UndoResult counters are the same for every thread count.
+///
 /// `max_ops_for_test` (tests only): stop after that many undo operations,
 /// mimicking a crash in the middle of the undo pass; the CLRs written so
 /// far are flushed, abort records are not. 0 = run to completion.
 Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
-               UndoResult* out, uint64_t max_ops_for_test = 0);
-
-/// Parallel counterpart of RunUndo (ISSUE 9 tentpole): the dispatcher walks
-/// the loser heap and appends every CLR/abort in exactly the serial order —
-/// the undo log stream is byte-identical — while the leaf before-image
-/// restores of update-undos fan out to hash(pid) apply workers with pin
-/// caches and ring-peek read-ahead (the undo pass's page misses are random
-/// 5 ms seeks; overlapping them across io_channels is where the time goes).
-/// Insert/delete undos change tree structure (splits, merges, row counts),
-/// so the dispatcher drains all workers to a barrier and applies those
-/// itself, exactly as the serial pass would. Falls back to RunUndo when
-/// threads < 2. Recovered state and UndoResult counters match the serial
-/// pass exactly.
-Status RunUndoParallel(LogManager* log, DataComponent* dc,
-                       const ActiveTxnTable& att, uint32_t threads,
-                       UndoResult* out, uint64_t max_ops_for_test = 0);
+               UndoResult* out, uint64_t max_ops_for_test = 0,
+               uint32_t threads = 1);
 
 }  // namespace deutero

@@ -17,7 +17,6 @@
 
 #include "core/engine.h"
 #include "recovery/analysis.h"
-#include "recovery/parallel_analysis.h"
 #include "recovery/parallel_redo.h"
 #include "recovery/redo.h"
 #include "recovery/stats.h"
@@ -382,7 +381,7 @@ TEST(ParallelAnalysisPass, SqlTablesAndCountersMatchSerial) {
 
   for (uint32_t threads : {2u, 4u, 8u}) {
     SqlAnalysisResult par;
-    ASSERT_OK(RunSqlAnalysisParallel(&e->wal(), start, threads, &par));
+    ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &par, nullptr, 0, threads));
     EXPECT_EQ(par.threads_used, threads);
     EXPECT_EQ(DptEntries(par.dpt), DptEntries(serial.dpt))
         << "DPT diverged at " << threads << " threads";
@@ -423,7 +422,7 @@ TEST(ParallelAnalysisPass, SqlAriesCheckpointSeedsShardIdentically) {
 
   for (uint32_t threads : {2u, 4u, 8u}) {
     SqlAnalysisResult par;
-    ASSERT_OK(RunSqlAnalysisParallel(&e->wal(), start, threads, &par));
+    ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &par, nullptr, 0, threads));
     EXPECT_EQ(DptEntries(par.dpt), DptEntries(serial.dpt)) << threads;
     EXPECT_EQ(AttEntries(par.att), AttEntries(serial.att)) << threads;
     EXPECT_EQ(par.redo_start_lsn, serial.redo_start_lsn) << threads;
@@ -448,14 +447,9 @@ TEST(ParallelAnalysisPass, DcPassMatchesSerialAcrossDptModes) {
                         std::string* digest) {
       ASSERT_OK(e->RestoreStableSnapshot(snap));
       ASSERT_OK(e->dc().OpenDatabase());
-      if (threads == 1) {
-        ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, mode,
-                                /*build_dpt=*/true, /*preload=*/false, out));
-      } else {
-        ASSERT_OK(RunDcRecoveryParallel(&e->wal(), &e->dc(), start, mode,
-                                        /*build_dpt=*/true,
-                                        /*preload=*/false, threads, out));
-      }
+      ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, mode,
+                              /*build_dpt=*/true, /*preload=*/false, out,
+                              threads));
       *digest = ContentDigest(e.get());  // the pass redoes SMOs: state too
       e->SimulateCrash();
     };
@@ -563,11 +557,8 @@ TEST(ParallelUndoPass, LogStreamAndStateMatchSerialByteForByte) {
     ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
                              dcr.last_delta_tc_lsn, nullptr, o, &rr));
     const Lsn undo_start = e->wal().next_lsn();
-    if (threads == 1) {
-      ASSERT_OK(RunUndo(&e->wal(), &e->dc(), rr.att, ur));
-    } else {
-      ASSERT_OK(RunUndoParallel(&e->wal(), &e->dc(), rr.att, threads, ur));
-    }
+    ASSERT_OK(RunUndo(&e->wal(), &e->dc(), rr.att, ur,
+                      /*max_ops_for_test=*/0, threads));
     *digest = ContentDigest(e.get());
     *log_end = e->wal().next_lsn();
     const Slice suffix = e->wal().StableBytes(undo_start);
@@ -580,7 +571,7 @@ TEST(ParallelUndoPass, LogStreamAndStateMatchSerialByteForByte) {
   Lsn serial_end = kInvalidLsn;
   run_undo(1, &serial, &serial_digest, &serial_suffix, &serial_end);
   ASSERT_GT(serial.txns_undone, 0u);
-  ASSERT_GT(serial.clrs_written, 0u);
+  ASSERT_GT(serial.ops_undone, 0u);
   ASSERT_GT(serial_suffix.size(), 0u);
 
   for (uint32_t threads : {2u, 4u, 8u}) {
@@ -597,7 +588,6 @@ TEST(ParallelUndoPass, LogStreamAndStateMatchSerialByteForByte) {
         << " threads";
     EXPECT_EQ(par.txns_undone, serial.txns_undone);
     EXPECT_EQ(par.ops_undone, serial.ops_undone);
-    EXPECT_EQ(par.clrs_written, serial.clrs_written);
   }
 }
 

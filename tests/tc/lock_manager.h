@@ -1,6 +1,9 @@
-// Logical lock manager (paper §1.1 cites [13]: locking without location
-// information). Locks are on (table, key) — never on pages, which the TC
-// cannot name. Exclusive for writes, shared for reads.
+// Single-threaded logical lock manager (paper §1.1 cites [13]: locking
+// without location information). Locks are on (table, key) — never on
+// pages, which the TC cannot name. Exclusive for writes, shared for reads.
+// The engine locks through concurrency/ShardedLockManager; this one is the
+// serial oracle the lock-manager and concurrent-front-end suites check it
+// against.
 //
 // Allocation behaviour: the lock table pools its entries. Releasing a lock
 // empties the entry's holder list (keeping its capacity) instead of erasing
@@ -25,8 +28,8 @@ class LockManager {
   enum class LockMode : uint8_t { kShared = 0, kExclusive = 1 };
 
   /// Acquire a lock; returns Busy on conflict with another transaction
-  /// (no blocking — the engine is single-threaded, so a conflict is a
-  /// programming error or an intentional test).
+  /// (no blocking and no wait-die: the caller decides what a conflict
+  /// means).
   Status Acquire(TxnId txn, TableId table, Key key, LockMode mode);
 
   /// Release everything held by `txn` (commit/abort).
