@@ -10,12 +10,6 @@ function(deutero_add_test suite)
     deutero_core GTest::gtest GTest::gtest_main)
   target_include_directories(${suite} PRIVATE ${CMAKE_CURRENT_SOURCE_DIR})
   deutero_set_warnings(${suite})
-  # The suites deliberately keep exercising the deprecated raw-TxnId shims
-  # (their compatibility is part of the contract); only src/, benches and
-  # examples are held to the new handle API by -Werror.
-  if(CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
-    target_compile_options(${suite} PRIVATE -Wno-deprecated-declarations)
-  endif()
   add_test(NAME ${suite} COMMAND ${suite})
   set_tests_properties(${suite} PROPERTIES LABELS "tier1" TIMEOUT 300)
 endfunction()

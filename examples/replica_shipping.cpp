@@ -5,9 +5,10 @@
 // applied to disparate physical system configurations."
 //
 // The primary uses 8 KB pages; the replica 2 KB pages with a smaller cache.
-// Committed transactions stream across; the replica converges to the same
-// logical table content, then survives a crash of its own using logical
-// recovery.
+// Committed transactions stream across a ReplicationChannel (publish on the
+// primary, pump on the standby); the replica converges to the same logical
+// table content, then survives a crash of its own using logical recovery
+// and resumes from its durable replication cursor.
 #include <cstdio>
 #include <memory>
 
@@ -40,10 +41,11 @@ int main() {
 
   // Stream five batches of transactions.
   WorkloadDriver driver(primary.get(), WorkloadConfig{});
-  Lsn next = kFirstLsn;
+  ReplicationChannel channel;
   for (int batch = 0; batch < 5; batch++) {
     if (!driver.RunOps(500).ok()) return 1;
-    if (!replica->SyncFrom(primary->wal(), next, &next).ok()) return 1;
+    channel.Publish(*primary);
+    if (!replica->Pump(&channel).ok()) return 1;
     std::printf("batch %d: replica applied %llu txns / %llu ops total\n",
                 batch + 1, (unsigned long long)replica->txns_applied(),
                 (unsigned long long)replica->ops_applied());
@@ -66,9 +68,9 @@ int main() {
               identical ? "IDENTICAL" : "DIVERGED (bug!)");
 
   // The replica is a full engine: crash and logically recover it.
-  replica->engine().SimulateCrash();
+  replica->CrashStandby();
   RecoveryStats st;
-  if (!replica->engine().Recover(RecoveryMethod::kLog2, &st).ok()) return 1;
+  if (!replica->RecoverStandby(RecoveryMethod::kLog2, &st).ok()) return 1;
   std::printf("replica crash-recovered (Log2) in %.1f simulated ms\n",
               st.total_ms);
   return identical ? 0 : 1;

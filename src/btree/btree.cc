@@ -162,29 +162,10 @@ Status BTree::BulkLoad(uint64_t num_rows,
 }
 
 Status BTree::Find(Key key, PageId* leaf_pid) {
-  stats_.traversals.fetch_add(1, std::memory_order_relaxed);
-  PageId pid = root_pid_;
-  while (true) {
-    clock_->AdvanceUs(cpu_per_level_us_);
-    PageHandle h;
-    DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kIndex, &h));
-    PageView page = h.view();
-    if (page.type() == PageType::kLeaf) {
-      // Only possible when the root itself is a leaf.
-      *leaf_pid = pid;
-      return Status::OK();
-    }
-    InternalNodeView node(page);
-    const PageId child = node.FindChild(key);
-    if (page.level() == 1) {
-      // The child is the leaf. Traversal ends here WITHOUT touching it:
-      // whether the data page is fetched at all is the redo test's decision
-      // (Algorithm 5 skips it when the DPT says no redo is possible).
-      *leaf_pid = child;
-      return Status::OK();
-    }
-    pid = child;
-  }
+  Key lo = 0;
+  Key hi = 0;
+  bool bounded = false;
+  return FindRanged(key, leaf_pid, &lo, &hi, &bounded);
 }
 
 Status BTree::FindRanged(Key key, PageId* leaf_pid, Key* lo, Key* hi,

@@ -209,14 +209,6 @@ class InternalNodeView {
     page_.set_num_slots(static_cast<uint16_t>(from));
   }
 
-  /// Copy the full entry array from `src` (used by the fixed-pid root
-  /// split, which rewrites the root in place).
-  void CopyEntriesFrom(const InternalNodeView& src) {
-    std::memcpy(page_.payload(), src.page_.payload(),
-                src.count() * static_cast<size_t>(kEntrySize));
-    page_.set_num_slots(src.count());
-  }
-
  private:
   const uint8_t* EntryPtr(uint32_t i) const {
     return page_.payload() + static_cast<size_t>(i) * kEntrySize;

@@ -123,7 +123,6 @@ class CondVar {
     return ok;
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

@@ -223,7 +223,8 @@ struct EngineOptions {
   ///    baseline); N > 1 runs the partitioned pipeline.
   ///  * Undo: the dispatcher appends every CLR; N > 1 fans update-undo leaf
   ///    restores out to N apply workers, at 1 nothing is routed.
-  ///  * Standby replay: at 1 the applier applies on its own thread.
+  ///  * Standby replay: the same crew at every value; at 1 its single
+  ///    partition applies inline on the pumping thread.
   /// Values are clamped to [1, 64] at engine open.
   uint32_t recovery_threads = 1;
 

@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <cstring>
 #include <string>
-#include <string_view>
 
 namespace deutero {
 
@@ -31,7 +30,6 @@ class Slice {
   }
 
   std::string ToString() const { return std::string(data_, size_); }
-  std::string_view ToView() const { return std::string_view(data_, size_); }
 
   int Compare(const Slice& b) const {
     const size_t min_len = size_ < b.size_ ? size_ : b.size_;

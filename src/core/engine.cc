@@ -242,36 +242,6 @@ Status Engine::TxnAbort(TxnId txn) {
   return tc_->Abort(txn);
 }
 
-// ---- deprecated raw-TxnId shims ----
-
-Status Engine::Begin(TxnId* txn) {
-  WriterLock g(&forward_mu_);
-  if (!running_) return Status::InvalidArgument("engine is crashed");
-  if (degraded_) return Status::Degraded("engine is read-only (media)");
-  if (read_only_) return Status::InvalidArgument("engine is read-only");
-  return tc_->Begin(txn);
-}
-
-Status Engine::Update(TxnId txn, Key key, Slice value) {
-  return TxnUpdate(txn, options_.table_id, key, value);
-}
-
-Status Engine::Insert(TxnId txn, Key key, Slice value) {
-  return TxnInsert(txn, options_.table_id, key, value);
-}
-
-Status Engine::Update(TxnId txn, TableId table, Key key, Slice value) {
-  return TxnUpdate(txn, table, key, value);
-}
-
-Status Engine::Insert(TxnId txn, TableId table, Key key, Slice value) {
-  return TxnInsert(txn, table, key, value);
-}
-
-Status Engine::Commit(TxnId txn) { return TxnCommit(txn); }
-
-Status Engine::Abort(TxnId txn) { return TxnAbort(txn); }
-
 // ---- checkpoint / crash / recovery ----
 
 Status Engine::Checkpoint(uint64_t* pages_flushed) {

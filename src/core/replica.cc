@@ -2,8 +2,10 @@
 // (recovery/pipeline_util.h): a dispatcher scans the mirror log in order —
 // buffering in-flight transactions, doing the logical->physical mapping
 // under the standby's own geometry, and owning every structure change —
-// while N partition workers (hash of the standby leaf pid) run the leaf
-// applies. The differences from recovery's pipeline:
+// while recovery_threads partitions (hash of the standby leaf pid) run the
+// leaf applies; a single partition runs inline on the pumping thread. The
+// crew outlives chunks: each ship boundary drains it. The differences from
+// recovery's pipeline:
 //
 //  * Replay is FORWARD operation, not redo: each applied transaction is
 //    re-logged through TC::LogReplayOp into the standby's own WAL (its own
@@ -63,6 +65,14 @@ struct ReplayItem {
 
 constexpr size_t kReplayRingCapacity = 1024;
 
+/// Pages a partition keeps pinned between items. Unlike a recovery pass,
+/// replay runs the lazy writer through the apply, and the lazy writer
+/// drops a pinned page from its dirty FIFO rather than flushing it; with
+/// several pins held per partition most replayed pages escape it, the
+/// cache fills with dirty pages and eviction thrashes the few clean ones.
+/// One pin still serves consecutive items on the same leaf.
+constexpr uint32_t kReplayPinsPerPartition = 1;
+
 /// One partition of the continuous-replay crew: a pin cache and the leaf
 /// apply. Compared with redo's there are no DPT tests and no read-ahead
 /// (replay applies everything); the pLSN test still guards the re-applied
@@ -74,8 +84,8 @@ class ReplayApplier {
     return item.type == LogRecordType::kInvalid;
   }
 
-  ReplayApplier(BufferPool* pool, Mutex* gate, uint32_t pin_cache_cap)
-      : pins_(pool, gate, pin_cache_cap) {}
+  ReplayApplier(BufferPool* pool, Mutex* gate)
+      : pins_(pool, gate, kReplayPinsPerPartition) {}
 
   void Release() { pins_.ReleaseAll(); }
 
@@ -99,13 +109,13 @@ class ReplayApplier {
 
 }  // namespace
 
-/// The continuous-replay apply partitions (recovery_threads >= 2).
+/// The continuous-replay apply partitions (recovery_threads of them; one
+/// partition applies inline on the pumping thread).
 class LogicalReplica::ReplayCrew : public WorkerPool<ReplayApplier> {
  public:
   ReplayCrew(BufferPool* pool, Mutex* gate, uint32_t threads)
-      : WorkerPool(threads, kReplayRingCapacity, [&](uint32_t) {
-          return ReplayApplier(pool, gate, PinCacheCapacity(*pool, threads));
-        }) {}
+      : WorkerPool(threads, kReplayRingCapacity,
+                   [&](uint32_t) { return ReplayApplier(pool, gate); }) {}
 };
 
 // ---- InFlightOps ----
@@ -190,7 +200,6 @@ Status LogicalReplica::Open(const EngineOptions& options,
                             std::unique_ptr<LogicalReplica>* out) {
   std::unique_ptr<LogicalReplica> r(new LogicalReplica());
   DEUTERO_RETURN_NOT_OK(Engine::Open(options, &r->engine_));
-  r->threads_ = r->engine_->options().recovery_threads;
   r->mirror_ = std::make_unique<LogManager>(
       &r->engine_->clock(), r->engine_->options().log_page_size,
       /*log_page_read_ms=*/0.0);
@@ -214,18 +223,25 @@ Status LogicalReplica::Open(const EngineOptions& options,
   {
     MutexLock lock(&r->apply_mu_);
     r->applied_boundary_ = kFirstLsn;
+    r->StartCrew();
   }
   r->engine_->SetReadOnly(true);
   *out = std::move(r);
   return Status::OK();
 }
 
+// The crew is declared after the engine and the gate, so member
+// destruction finishes it before either goes away.
 LogicalReplica::~LogicalReplica() { (void)StopContinuousReplay(); }
+
+void LogicalReplica::StartCrew() {
+  crew_ = std::make_unique<ReplayCrew>(&engine_->dc().pool(), &gate_,
+                                       engine_->options().recovery_threads);
+}
 
 // ---- the applier core ----
 
-Status LogicalReplica::ProjectedLeafRows(PageId pid, Mutex* gate,
-                                         int64_t** count) {
+Status LogicalReplica::ProjectedLeafRows(PageId pid, int64_t** count) {
   for (auto& entry : window_) {
     if (entry.first == pid) {
       *count = &entry.second;
@@ -239,7 +255,7 @@ Status LogicalReplica::ProjectedLeafRows(PageId pid, Mutex* gate,
   // window.
   int64_t base = 0;
   {
-    MutexLock lock(gate);
+    MutexLock lock(&gate_);
     PageHandle h;
     DEUTERO_RETURN_NOT_OK(engine_->dc().pool().Get(pid, PageClass::kData, &h));
     base = h.view().num_slots();
@@ -251,8 +267,6 @@ Status LogicalReplica::ProjectedLeafRows(PageId pid, Mutex* gate,
 }
 
 Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
-                                         LogManager* src, bool standby,
-                                         ReplayCrew* crew, Mutex* gate,
                                          bool* stop_injected) {
   DataComponent& dc = engine_->dc();
   TransactionComponent& tc = engine_->tc();
@@ -260,16 +274,15 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
 
   TxnId local = kInvalidTxnId;
   {
-    MutexLock lock(gate);
+    MutexLock lock(&gate_);
     DEUTERO_RETURN_NOT_OK(tc.Begin(&local));
   }
 
-  Status st;
   for (int32_t i = head; i >= 0; i = in_flight_.ops[i].next) {
     const InFlightOps::Op op = in_flight_.ops[i];
     // Re-decode the shipped record by source offset: both images come from
     // the primary (valid under strict 2PL + commit order), zero copies.
-    DEUTERO_RETURN_NOT_OK(src->ViewRecordAt(op.lsn, &view_scratch_));
+    DEUTERO_RETURN_NOT_OK(mirror_->ViewRecordAt(op.lsn, &view_scratch_));
     uint32_t value_size = 0;
     if (!tables_.Lookup(op.table, &value_size)) {
       return Status::NotFound("replay of op on unknown table");
@@ -280,7 +293,7 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
     if (memo_.Hit(op.table, op.key)) {
       pid = memo_.pid;
     } else {
-      MutexLock lock(gate);
+      MutexLock lock(&gate_);
       DEUTERO_RETURN_NOT_OK(dc.FindLeafRanged(op.table, op.key, &pid,
                                               &memo_.lo, &memo_.hi,
                                               &memo_.bounded));
@@ -290,83 +303,64 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
     }
 
     if (op.kind == LogRecordType::kInsert) {
-      if (crew != nullptr) {
-        // Split prediction: only a would-overflow insert pays a barrier +
-        // the gated, logged split. Everything else routes straight through.
-        int64_t* count = nullptr;
-        DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(pid, gate, &count));
-        const auto capacity = static_cast<int64_t>(LeafNodeView::Capacity(
-            engine_->options().page_size, value_size));
-        if (*count + 1 > capacity) {
-          crew->DrainBarrier();
-          agg_.barriers++;
-          {
-            MutexLock lock(gate);
-            DEUTERO_RETURN_NOT_OK(dc.PrepareInsert(op.table, op.key, &pid));
-          }
-          window_.clear();  // the split moved rows; every count is stale
-          memo_.valid = false;
-          DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(pid, gate, &count));
+      // Split prediction: only a would-overflow insert pays a barrier +
+      // the gated, logged split. Everything else routes straight through.
+      int64_t* count = nullptr;
+      DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(pid, &count));
+      const auto capacity = static_cast<int64_t>(LeafNodeView::Capacity(
+          engine_->options().page_size, value_size));
+      if (*count + 1 > capacity) {
+        crew_->DrainBarrier();
+        agg_.barriers++;
+        {
+          MutexLock lock(&gate_);
+          DEUTERO_RETURN_NOT_OK(dc.PrepareInsert(op.table, op.key, &pid));
         }
-        (*count)++;
-      } else {
-        MutexLock lock(gate);
-        DEUTERO_RETURN_NOT_OK(dc.PrepareInsert(op.table, op.key, &pid));
-        memo_.valid = false;  // it may have split under the memoized leaf
+        window_.clear();  // the split moved rows; every count is stale
+        memo_.valid = false;
+        DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(pid, &count));
       }
-    } else if (op.kind == LogRecordType::kDelete && crew != nullptr) {
+      (*count)++;
+    } else if (op.kind == LogRecordType::kDelete) {
       // Deletes change slot counts too: route them through the window so a
       // later base-count read can never race a queued delete.
       int64_t* count = nullptr;
-      DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(pid, gate, &count));
+      DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(pid, &count));
       (*count)--;
     }
 
     Lsn lsn = kInvalidLsn;
     {
-      MutexLock lock(gate);
+      MutexLock lock(&gate_);
       DEUTERO_RETURN_NOT_OK(tc.LogReplayOp(local, op.kind, op.table, op.key,
                                            view_scratch_.before,
                                            view_scratch_.after, pid, &lsn));
-      if (crew != nullptr) {
-        // Δ-capture at ROUTE time, not apply time. Algorithm 4 gives a page
-        // first captured by Δ-record N the proxy rLSN of record N-1's
-        // TC-LSN — sound only if the pid enters the DirtySet before the
-        // next Δ-record after its update. A routed worker's own MarkDirty
-        // can land later than that, inflating the proxy past this record
-        // and losing the update under a Log1/Log2 standby recovery.
-        // Duplicate capture (the worker still marks on apply) is explicitly
-        // allowed (App. D.2).
-        dc.monitor().OnPageDirtied(pid, lsn);
-      }
-    }
-    if (crew != nullptr) {
-      ReplayItem item;
-      item.type = op.kind;
-      item.key = op.key;
-      item.lsn = lsn;
-      item.pid = pid;
-      item.value_size = value_size;
-      item.after = view_scratch_.after;
-      crew->Route(pid, item);
-    } else {
-      MutexLock lock(gate);
-      switch (op.kind) {
-        case LogRecordType::kUpdate:
-          st = dc.ApplyUpdate(op.table, pid, op.key, view_scratch_.after, lsn);
-          break;
-        case LogRecordType::kInsert:
-          st = dc.ApplyInsert(op.table, pid, op.key, view_scratch_.after, lsn);
-          break;
-        default:
-          st = dc.ApplyDelete(op.table, pid, op.key, lsn);
-          break;
-      }
-      DEUTERO_RETURN_NOT_OK(st);
+      // Δ-capture at ROUTE time, not apply time. Algorithm 4 gives a page
+      // first captured by Δ-record N the proxy rLSN of record N-1's
+      // TC-LSN — sound only if the pid enters the DirtySet before the
+      // next Δ-record after its update. A routed worker's own MarkDirty
+      // can land later than that, inflating the proxy past this record
+      // and losing the update under a Log1/Log2 standby recovery.
+      // Duplicate capture (the worker still marks on apply) is explicitly
+      // allowed (App. D.2).
+      dc.monitor().OnPageDirtied(pid, lsn);
+      // Keep the lazy writer running through the chunk: without it a large
+      // chunk fills the cache with dirty pages, and eviction then cycles the
+      // few clean frames. It skips pinned frames, and no partition can pin
+      // or unpin while the gate is held, so every page a partition may be
+      // writing is left alone.
       DEUTERO_RETURN_NOT_OK(dc.Tick());
     }
-    // Scan-complete row accounting on the dispatcher (workers and the
-    // apply path never touch the counters during replay).
+    ReplayItem item;
+    item.type = op.kind;
+    item.key = op.key;
+    item.lsn = lsn;
+    item.pid = pid;
+    item.value_size = value_size;
+    item.after = view_scratch_.after;
+    crew_->Route(pid, item);
+    // Scan-complete row accounting on the dispatcher (the partitions never
+    // touch the counters during replay).
     if (op.kind == LogRecordType::kInsert) {
       dc.AdjustTableRowCount(op.table, 1);
     } else if (op.kind == LogRecordType::kDelete) {
@@ -386,8 +380,8 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
     // Die mid-transaction: make every appended record stable (so local
     // recovery sees the open transaction and undoes it), leave the txn
     // open, and refuse further work until crash + recover.
-    if (crew != nullptr) crew->DrainBarrier();
-    MutexLock lock(gate);
+    crew_->DrainBarrier();
+    MutexLock lock(&gate_);
     tc.ForceLog();
     apply_stopped_ = true;
     return Status::OK();
@@ -397,12 +391,10 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
   // implies its delete-side SMOs are durable too, so no standby crash can
   // strand empty leaves behind the applied-through mark.
   if (!merge_keys_.empty()) {
-    if (crew != nullptr) {
-      crew->DrainBarrier();
-      agg_.barriers++;
-    }
+    crew_->DrainBarrier();
+    agg_.barriers++;
     {
-      MutexLock lock(gate);
+      MutexLock lock(&gate_);
       for (const auto& [table, key] : merge_keys_) {
         bool merged = false;
         DEUTERO_RETURN_NOT_OK(dc.MaybeMergeLeaf(table, key, &merged));
@@ -414,19 +406,20 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
     memo_.valid = false;
   }
 
-  if (standby) {
-    // Fold the replay cursor into the transaction: applied-through is this
-    // commit; replay-from backs up to the earliest still-in-flight op.
-    const Lsn min_in_flight = in_flight_.MinFirstLsn();
-    const Lsn replay_from =
-        (min_in_flight == kInvalidLsn || min_in_flight > commit_lsn)
-            ? commit_lsn
-            : min_in_flight;
-    EncodeCursor(commit_lsn, replay_from, &cursor_after_);
-    MutexLock lock(gate);
+  // Fold the replay cursor into the transaction: applied-through is this
+  // commit; replay-from backs up to the earliest still-in-flight op.
+  const Lsn min_in_flight = in_flight_.MinFirstLsn();
+  const Lsn replay_from =
+      (min_in_flight == kInvalidLsn || min_in_flight > commit_lsn)
+          ? commit_lsn
+          : min_in_flight;
+  EncodeCursor(commit_lsn, replay_from, &cursor_after_);
+  {
+    MutexLock lock(&gate_);
     PageId cursor_pid = kInvalidPageId;
-    DEUTERO_RETURN_NOT_OK(dc.LocateForUpdate(kStandbyCursorTableId, kCursorKey,
-                                             &cursor_pid, &cursor_before_));
+    DEUTERO_RETURN_NOT_OK(dc.LocateForUpdate(kStandbyCursorTableId,
+                                             kCursorKey, &cursor_pid,
+                                             &cursor_before_));
     Lsn cursor_lsn = kInvalidLsn;
     DEUTERO_RETURN_NOT_OK(tc.LogReplayOp(
         local, LogRecordType::kUpdate, kStandbyCursorTableId, kCursorKey,
@@ -434,30 +427,20 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
     DEUTERO_RETURN_NOT_OK(dc.ApplyUpdate(kStandbyCursorTableId, cursor_pid,
                                          kCursorKey, cursor_after_,
                                          cursor_lsn));
-  }
-  {
-    MutexLock lock(gate);
     DEUTERO_RETURN_NOT_OK(tc.Commit(local));
   }
   txns_applied_++;
   return Status::OK();
 }
 
-Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
-                                 bool standby) {
+Status LogicalReplica::ApplyMirror(Lsn* next) {
   DataComponent& dc = engine_->dc();
   tables_.Refresh(&dc);
 
-  // Routed items carry Slices aliasing `src`: nothing may append to it for
-  // the whole apply (the standby's own WAL is a different manager and
-  // grows freely).
-  LogManager::AliasGuard alias(src);
-
-  Mutex gate;  // serializes EVERY pool/log/clock touch this apply
-  std::unique_ptr<ReplayCrew> crew;
-  if (threads_ >= 2) {
-    crew = std::make_unique<ReplayCrew>(&dc.pool(), &gate, threads_);
-  }
+  // Routed items carry Slices aliasing the mirror: nothing may append to
+  // it until the crew is drained below (the standby's own WAL is a
+  // different manager and grows freely).
+  LogManager::AliasGuard alias(mirror_.get());
 
   window_.clear();
   merge_keys_.clear();
@@ -468,7 +451,7 @@ Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
 
   Status st;
   bool stop_injected = false;
-  auto it = src->NewIterator(from, /*charge_io=*/false);
+  auto it = mirror_->NewIterator(mirror_next_, /*charge_io=*/false);
   for (; it.Valid(); it.Next()) {
     const LogRecordView& rec = it.record();
     switch (rec.type) {
@@ -496,7 +479,7 @@ Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
         if (rec.table_id >= kStandbySystemTableBase) break;
         if (dc.FindTable(rec.table_id) == nullptr) {
           {
-            MutexLock lock(&gate);
+            MutexLock lock(&gate_);
             st = dc.CreateTable(rec.table_id, rec.ddl_value_size);
           }
           if (st.ok()) tables_.Refresh(&dc);
@@ -509,23 +492,22 @@ Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
           in_flight_.Drop(rec.txn_id);
           break;
         }
-        st = ApplyCommittedTxn(rec.txn_id, rec.lsn, src, standby, crew.get(),
-                               &gate, &stop_injected);
+        st = ApplyCommittedTxn(rec.txn_id, rec.lsn, &stop_injected);
         break;
       default:
         // Primary-physical records (Δ, BW, SMOs, checkpoints, RSSP acks)
         // describe the wrong geometry; this node forms its own pages.
         break;
     }
-    if (!st.ok() || stop_injected) break;
-    if (crew != nullptr && crew->AnyFailed()) break;
+    if (!st.ok() || stop_injected || crew_->AnyFailed()) break;
   }
 
-  Status crew_st;
-  if (crew != nullptr) crew_st = crew->Finish();
+  // Quiesce the crew at the ship boundary: every routed item applied and
+  // every pin dropped before the mirror grows again or a checkpoint runs.
+  crew_->DrainBarrier();
   assert(alias.Intact());
   dc.SetRowCountTracking(true);
-  if (st.ok()) st = crew_st;
+  if (st.ok()) st = crew_->FirstError();
   if (!st.ok()) {
     failed_ = true;
     return st;
@@ -534,14 +516,13 @@ Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
 
   // it.lsn() when the scan ends is the first offset NOT consumed — the
   // start of a torn frame or the stable end: the resume point.
-  if (next != nullptr) *next = it.lsn();
+  *next = it.lsn();
   DEUTERO_RETURN_NOT_OK(dc.Tick());
 
   // Standby checkpoints happen at ship boundaries only, while the crew is
   // quiescent — same cadence knob as the primary.
-  if (standby &&
-      ops_since_checkpoint_ >=
-          engine_->options().checkpoint_interval_updates) {
+  if (ops_since_checkpoint_ >=
+      engine_->options().checkpoint_interval_updates) {
     DEUTERO_RETURN_NOT_OK(engine_->tc().Checkpoint());
     ops_since_checkpoint_ = 0;
     agg_.checkpoints++;
@@ -562,7 +543,9 @@ Status LogicalReplica::PumpChunk(ReplicationChannel* channel,
   if (apply_stopped_) {
     return Status::InvalidArgument("apply stopped; crash+recover the standby");
   }
-  if (!engine_->running()) return Status::InvalidArgument("standby is crashed");
+  if (!engine_->running() || crew_ == nullptr) {
+    return Status::InvalidArgument("standby is crashed");
+  }
 
   const size_t pulled =
       channel->Pull(mirror_->next_lsn(), max_chunk_bytes, &chunk_buf_);
@@ -575,8 +558,7 @@ Status LogicalReplica::PumpChunk(ReplicationChannel* channel,
   agg_.published_txns = channel->published_txns();
 
   Lsn next = mirror_next_;
-  DEUTERO_RETURN_NOT_OK(
-      ApplyFrom(mirror_.get(), mirror_next_, &next, /*standby=*/true));
+  DEUTERO_RETURN_NOT_OK(ApplyMirror(&next));
   if (apply_stopped_) {
     if (progressed != nullptr) *progressed = true;
     return Status::OK();  // partial: resume state is on the cursor row
@@ -664,11 +646,6 @@ Lsn LogicalReplica::read_boundary() const {
   return applied_boundary_;
 }
 
-Status LogicalReplica::Read(Key key, std::string* value) {
-  MutexLock lock(&apply_mu_);
-  return engine_->Read(key, value);
-}
-
 ReplicationStats LogicalReplica::stats() const {
   MutexLock lock(&apply_mu_);
   ReplicationStats s = agg_;
@@ -689,6 +666,7 @@ ReplicationStats LogicalReplica::stats() const {
 void LogicalReplica::CrashStandby() {
   (void)StopContinuousReplay();
   MutexLock lock(&apply_mu_);
+  crew_.reset();
   if (engine_->running()) engine_->SimulateCrash();
   apply_stopped_ = false;
   apply_stop_after_ops_ = 0;
@@ -731,13 +709,16 @@ Status LogicalReplica::RecoverStandby(RecoveryMethod method,
                                       RecoveryStats* stats) {
   (void)StopContinuousReplay();
   MutexLock lock(&apply_mu_);
-  return RecoverStandbyLocked(method, stats);
+  DEUTERO_RETURN_NOT_OK(RecoverStandbyLocked(method, stats));
+  StartCrew();
+  return Status::OK();
 }
 
 Status LogicalReplica::Promote(RecoveryMethod method, RecoveryStats* stats) {
   (void)StopContinuousReplay();
   MutexLock lock(&apply_mu_);
   if (promoted_) return Status::OK();
+  crew_.reset();  // a promoted engine takes writes, not shipped chunks
   // A half-applied chunk (stopped applier, poisoned applier) only exists
   // in volatile state: crash it away and let local recovery reconstruct
   // the durable prefix — the same path a crashed standby takes.
@@ -750,22 +731,6 @@ Status LogicalReplica::Promote(RecoveryMethod method, RecoveryStats* stats) {
   in_flight_.Clear();
   engine_->SetReadOnly(false);
   promoted_ = true;
-  return Status::OK();
-}
-
-// ---- legacy pull API ----
-
-Status LogicalReplica::SyncFrom(LogManager& primary_log, Lsn from, Lsn* next) {
-  MutexLock lock(&apply_mu_);
-  if (promoted_) return Status::InvalidArgument("standby was promoted");
-  if (failed_) {
-    return Status::InvalidArgument("standby applier failed; crash+recover");
-  }
-  if (!engine_->running()) return Status::InvalidArgument("standby is crashed");
-  Lsn consumed = from;
-  DEUTERO_RETURN_NOT_OK(
-      ApplyFrom(&primary_log, from, &consumed, /*standby=*/false));
-  if (next != nullptr) *next = primary_log.stable_end();
   return Status::OK();
 }
 

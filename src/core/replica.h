@@ -16,10 +16,12 @@
 //  * LogicalReplica — a full engine with its own (possibly different) page
 //    geometry that consumes the stream CONTINUOUSLY: each pulled chunk is
 //    appended to a local mirror log (same byte offsets as the primary) and
-//    applied through a partitioned parallel pipeline — the same
-//    dispatcher/worker skeleton as recovery's passes
-//    (recovery/pipeline_util.h), with recovery_threads workers partitioned
-//    by standby leaf page. Only the
+//    applied through ONE path at every recovery_threads value — the same
+//    dispatcher/partition skeleton as recovery's passes
+//    (recovery/pipeline_util.h), partitioned by standby leaf page. At one
+//    partition the crew applies inline on the pumping thread. The crew
+//    lives as long as the standby engine runs and is drained at every ship
+//    boundary. Only the
 //    logical content of committed transactions is applied: (table, key,
 //    after-image), re-logged as the standby's OWN WAL records
 //    (TC::LogReplayOp) so standby pLSNs never mix with primary LSNs.
@@ -214,15 +216,6 @@ class LogicalReplica {
 
   ReplicationStats stats() const;
 
-  // ---- legacy pull API (direct log access, kept for older tests) ----
-
-  /// Consume the primary's stable log from `from`, applying committed
-  /// transactions. Returns the resume point for the next call in *next.
-  /// In-flight (uncommitted) transactions are buffered across calls.
-  Status SyncFrom(LogManager& primary_log, Lsn from, Lsn* next);
-
-  Status Read(Key key, std::string* value);
-
   Engine& engine() { return *engine_; }
 
   uint64_t txns_applied() const {
@@ -285,24 +278,29 @@ class LogicalReplica {
 
   class ReplayCrew;  ///< Apply partitions; defined in replica.cc.
 
-  /// The applier core shared by PumpChunk and SyncFrom: scan `src` from
-  /// `from`, buffer in-flight ops, apply committed transactions (parallel
-  /// when recovery_threads >= 2), and return the first unconsumed offset
-  /// in *next. `standby` enables the durable cursor + commit-skip filter.
-  Status ApplyFrom(LogManager* src, Lsn from, Lsn* next, bool standby)
-      REQUIRES(apply_mu_);
-  Status ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn, LogManager* src,
-                           bool standby, ReplayCrew* crew, Mutex* gate,
+  /// The applier core: scan the mirror from mirror_next_, buffer in-flight
+  /// ops, route committed transactions through the crew (folding the
+  /// durable cursor into each), drain the crew, and return the first
+  /// unconsumed offset in *next.
+  Status ApplyMirror(Lsn* next) REQUIRES(apply_mu_);
+  Status ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
                            bool* stop_injected) REQUIRES(apply_mu_);
   /// Projected row count of standby leaf `pid` this apply window (base
   /// count read once under the gate, then tracked dispatcher-side).
-  Status ProjectedLeafRows(PageId pid, Mutex* gate, int64_t** count)
-      REQUIRES(apply_mu_);
+  Status ProjectedLeafRows(PageId pid, int64_t** count) REQUIRES(apply_mu_);
+  /// Build the crew over the running standby engine's pool.
+  void StartCrew() REQUIRES(apply_mu_);
   Status RecoverStandbyLocked(RecoveryMethod method, RecoveryStats* stats)
       REQUIRES(apply_mu_);
 
   std::unique_ptr<Engine> engine_;
-  uint32_t threads_ = 1;
+  /// Serializes EVERY pool/log/clock touch of an apply between the
+  /// dispatcher and the crew's partitions.
+  Mutex gate_;
+  /// recovery_threads apply partitions. Built when the standby engine opens
+  /// or is recovered, drained at every ship boundary, finished on crash and
+  /// promote; declared after engine_ and gate_, which it points into.
+  std::unique_ptr<ReplayCrew> crew_ GUARDED_BY(apply_mu_);
 
   /// Mirror of the primary log: every pulled chunk is appended verbatim,
   /// so mirror LSN == primary LSN for every shipped record. Survives

@@ -337,7 +337,8 @@ class PartitionWorker {
   }
 
   bool failed() const { return failed_.load(std::memory_order_acquire); }
-  const Status& error() const { return error_; }  ///< Valid after Join().
+  /// Valid once drained (a drain barrier) or joined.
+  const Status& error() const { return error_; }
   Applier& applier() { return applier_; }         ///< Consumer state.
 
  private:
@@ -449,7 +450,13 @@ class WorkerPool {
       for (auto& w : workers_) w->SignalDone();
       for (auto& w : workers_) w->Join();
     }
-    for (auto& w : workers_) {
+    return FirstError();
+  }
+
+  /// The lowest failed partition's error, or OK. Valid while the pool is
+  /// quiescent: after DrainBarrier() or Finish().
+  Status FirstError() const {
+    for (const auto& w : workers_) {
       if (w->failed()) return w->error();
     }
     return Status::OK();

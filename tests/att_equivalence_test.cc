@@ -33,6 +33,8 @@ TEST_P(AttEquivalenceTest, SqlAnalysisAndLogicalScanAgreeOnLosers) {
   o.seed = seed;
   std::unique_ptr<Engine> e;
   ASSERT_OK(Engine::Open(o, &e));
+  Table tbl;
+  ASSERT_OK(e->OpenDefaultTable(&tbl));
   WorkloadConfig wc;
   wc.seed = seed * 17;
   WorkloadDriver driver(e.get(), wc);
@@ -41,28 +43,33 @@ TEST_P(AttEquivalenceTest, SqlAnalysisAndLogicalScanAgreeOnLosers) {
   // Random mixture of commits, runtime aborts, idle losers across
   // checkpoints, and in-flight tail losers.
   ASSERT_OK(driver.RunOps(100 + rng.Uniform(200)));
-  std::vector<TxnId> idle_losers;
+  std::vector<Txn> idle_losers;  // held open until the crash
   for (int i = 0; i < static_cast<int>(1 + rng.Uniform(3)); i++) {
-    TxnId t;
+    Txn t;
     ASSERT_OK(e->Begin(&t));
-    ASSERT_OK(e->Update(
-        t, 1000 + i, SynthesizeValueString(1000 + i, 5, o.value_size)));
-    idle_losers.push_back(t);
+    ASSERT_OK(t.Update(tbl, 1000 + i,
+                       SynthesizeValueString(1000 + i, 5, o.value_size)));
+    idle_losers.push_back(std::move(t));
   }
   e->tc().ForceLog();
   ASSERT_OK(e->Checkpoint());
   ASSERT_OK(driver.RunOps(100 + rng.Uniform(200)));
   if (rng.Bernoulli(0.7)) {
-    TxnId t;
+    Txn t;
     ASSERT_OK(e->Begin(&t));
-    ASSERT_OK(e->Update(t, 7, SynthesizeValueString(7, 9, o.value_size)));
-    ASSERT_OK(e->Abort(t));  // runtime abort: NOT a loser
+    ASSERT_OK(t.Update(tbl, 7, SynthesizeValueString(7, 9, o.value_size)));
+    ASSERT_OK(t.Abort());  // runtime abort: NOT a loser
   }
   ASSERT_OK(driver.RunOpsNoCommit(1 + rng.Uniform(8)));
   e->tc().ForceLog();
 
   driver.OnCrash();
   e->SimulateCrash();
+  std::vector<TxnId> idle_loser_ids;
+  for (Txn& t : idle_losers) {
+    idle_loser_ids.push_back(t.id());
+    t.Release();
+  }
   ASSERT_OK(e->dc().OpenDatabase());
   e->dc().monitor().set_enabled(false);
   e->dc().pool().set_callbacks_enabled(false);
@@ -90,7 +97,7 @@ TEST_P(AttEquivalenceTest, SqlAnalysisAndLogicalScanAgreeOnLosers) {
     EXPECT_EQ(it->second, last_lsn) << "chain tail differs for txn " << txn;
   }
   // Every idle loser is present in both.
-  for (TxnId t : idle_losers) {
+  for (TxnId t : idle_loser_ids) {
     EXPECT_TRUE(ar.att.count(t)) << "idle loser " << t;
   }
   EXPECT_EQ(ar.max_txn_id, rr.max_txn_id);

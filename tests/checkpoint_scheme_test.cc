@@ -35,18 +35,21 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, IdleLoserTest,
 TEST_P(IdleLoserTest, LoserIdleAcrossCheckpointIsUndone) {
   std::unique_ptr<Engine> e;
   ASSERT_OK(Engine::Open(SmallOptions(), &e));
-  TxnId loser;
+  Table tbl;
+  ASSERT_OK(e->OpenDefaultTable(&tbl));
+  Txn loser;
   ASSERT_OK(e->Begin(&loser));
-  ASSERT_OK(e->Update(loser, 7, V(*e, 7, 1)));
+  ASSERT_OK(loser.Update(tbl, 7, V(*e, 7, 1)));
   e->tc().ForceLog();
   ASSERT_OK(e->Checkpoint());  // loser is idle across this checkpoint
   // Unrelated committed work after the checkpoint.
-  TxnId t;
+  Txn t;
   ASSERT_OK(e->Begin(&t));
-  ASSERT_OK(e->Update(t, 8, V(*e, 8, 1)));
-  ASSERT_OK(e->Commit(t));
+  ASSERT_OK(t.Update(tbl, 8, V(*e, 8, 1)));
+  ASSERT_OK(t.Commit());
 
   e->SimulateCrash();
+  loser.Release();
   RecoveryStats st;
   ASSERT_OK(e->Recover(GetParam(), &st));
   EXPECT_EQ(st.txns_undone, 1u);
@@ -60,13 +63,16 @@ TEST_P(IdleLoserTest, LoserIdleAcrossCheckpointIsUndone) {
 TEST_P(IdleLoserTest, LoserIdleAcrossTwoCheckpointsIsUndone) {
   std::unique_ptr<Engine> e;
   ASSERT_OK(Engine::Open(SmallOptions(), &e));
-  TxnId loser;
+  Table tbl;
+  ASSERT_OK(e->OpenDefaultTable(&tbl));
+  Txn loser;
   ASSERT_OK(e->Begin(&loser));
-  ASSERT_OK(e->Update(loser, 9, V(*e, 9, 1)));
+  ASSERT_OK(loser.Update(tbl, 9, V(*e, 9, 1)));
   e->tc().ForceLog();
   ASSERT_OK(e->Checkpoint());
   ASSERT_OK(e->Checkpoint());
   e->SimulateCrash();
+  loser.Release();
   RecoveryStats st;
   ASSERT_OK(e->Recover(GetParam(), &st));
   EXPECT_EQ(st.txns_undone, 1u);

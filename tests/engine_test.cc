@@ -35,7 +35,7 @@ TEST(EngineTest, OperationsRejectedWhileCrashed) {
   ASSERT_OK(Engine::Open(SmallOptions(), &e));
   e->SimulateCrash();
   EXPECT_FALSE(e->running());
-  TxnId t;
+  Txn t;
   EXPECT_TRUE(e->Begin(&t).IsInvalidArgument());
   std::string v;
   EXPECT_TRUE(e->Read(1, &v).IsInvalidArgument());
@@ -52,13 +52,16 @@ TEST(EngineTest, RecoverRejectedWhileRunning) {
 TEST(EngineTest, CrashDropsUnflushedLogTail) {
   std::unique_ptr<Engine> e;
   ASSERT_OK(Engine::Open(SmallOptions(), &e));
-  TxnId t;
+  Table tbl;
+  ASSERT_OK(e->OpenDefaultTable(&tbl));
+  Txn t;
   ASSERT_OK(e->Begin(&t));
-  ASSERT_OK(e->Update(t, 3, V(*e, 3, 1)));
+  ASSERT_OK(t.Update(tbl, 3, V(*e, 3, 1)));
   // No commit, no flush: the update exists only in the volatile tail.
   const Lsn stable = e->wal().stable_end();
   EXPECT_GT(e->wal().next_lsn(), stable);
   e->SimulateCrash();
+  t.Release();
   EXPECT_EQ(e->wal().next_lsn(), stable);
   RecoveryStats st;
   ASSERT_OK(e->Recover(RecoveryMethod::kLog1, &st));
@@ -76,10 +79,12 @@ TEST(EngineTest, CrashDropsUnflushedLogTail) {
 TEST(EngineTest, RecoverWithNullStatsSucceeds) {
   std::unique_ptr<Engine> e;
   ASSERT_OK(Engine::Open(SmallOptions(), &e));
-  TxnId t;
+  Table tbl;
+  ASSERT_OK(e->OpenDefaultTable(&tbl));
+  Txn t;
   ASSERT_OK(e->Begin(&t));
-  ASSERT_OK(e->Update(t, 3, V(*e, 3, 1)));
-  ASSERT_OK(e->Commit(t));
+  ASSERT_OK(t.Update(tbl, 3, V(*e, 3, 1)));
+  ASSERT_OK(t.Commit());
   e->SimulateCrash();
   ASSERT_OK(e->Recover(RecoveryMethod::kLog2, nullptr));
   std::string v;
@@ -193,17 +198,19 @@ TEST(EngineTest, SmoPageImagesCarryTheirRecordLsn) {
   o.delta_dirty_capacity = 2;
   std::unique_ptr<Engine> e;
   ASSERT_OK(Engine::Open(o, &e));
+  Table tbl;
+  ASSERT_OK(e->OpenDefaultTable(&tbl));
   // Insert-heavy load: new keys force leaf (and eventually internal/root)
   // splits while the tiny Δ-capacity keeps the monitor at emission pressure.
   Key next = o.num_rows;
   for (int txn = 0; txn < 40; txn++) {
-    TxnId t;
+    Txn t;
     ASSERT_OK(e->Begin(&t));
     for (int i = 0; i < 10; i++, next++) {
       const std::string v = V(*e, next, 1);
-      ASSERT_OK(e->Insert(t, next, v));
+      ASSERT_OK(t.Insert(tbl, next, v));
     }
-    ASSERT_OK(e->Commit(t));
+    ASSERT_OK(t.Commit());
   }
   ASSERT_OK(e->CreateTable(/*table=*/7, /*value_size=*/16));
   e->wal().Flush();

@@ -341,10 +341,16 @@ TEST(EngineApiAllocTest, WriteBatchApplyIsAllocationFreePerOp) {
 // ---------------------------------------------------------------------------
 // The hot-standby apply path: pulling a chunk off the channel, mirroring it,
 // and applying its committed transactions reuses member scratch throughout —
-// chunk buffer, in-flight op pool, record views, cursor images, WAL headroom.
+// chunk buffer, in-flight op pool, record views, cursor images, WAL headroom
+// — and the apply crew itself: it lives as long as the standby engine and is
+// only drained at a ship boundary, so neither the inline partition (one
+// thread) nor a threaded crew (rings, pin caches, worker threads) is rebuilt
+// per chunk.
 // ---------------------------------------------------------------------------
 
-TEST(ReplicationAllocTest, SteadyStateChunkApplyIsAllocationFreePerOp) {
+namespace {
+
+void ExpectSteadyStateChunkApplyAllocationFree(uint32_t recovery_threads) {
   using namespace deutero;  // NOLINT
   EngineOptions popts = ApiAllocOptions();
   popts.checkpoint_interval_updates = 1u << 30;  // checkpoint-free stream
@@ -352,7 +358,7 @@ TEST(ReplicationAllocTest, SteadyStateChunkApplyIsAllocationFreePerOp) {
   ASSERT_TRUE(Engine::Open(popts, &primary).ok());
   EngineOptions sopts = popts;
   sopts.page_size = 2048;       // cross-geometry apply
-  sopts.recovery_threads = 1;   // serial applier (the crew has its own pools)
+  sopts.recovery_threads = recovery_threads;
   std::unique_ptr<LogicalReplica> standby;
   ASSERT_TRUE(LogicalReplica::Open(sopts, &standby).ok());
   // The Δ-record monitors amortize independently (see WriteBatch test above);
@@ -389,8 +395,19 @@ TEST(ReplicationAllocTest, SteadyStateChunkApplyIsAllocationFreePerOp) {
   }
   EXPECT_EQ(best, 0u)
       << "per-op heap allocations crept into the standby chunk-apply path "
-         "(image copies in the in-flight table? per-txn node maps?)";
+         "(image copies in the in-flight table? per-txn node maps? a crew "
+         "rebuilt per chunk?)";
   ASSERT_EQ(standby->stats().applied_boundary, channel.published_end());
+}
+
+}  // namespace
+
+TEST(ReplicationAllocTest, SteadyStateChunkApplyIsAllocationFreePerOp) {
+  ExpectSteadyStateChunkApplyAllocationFree(/*recovery_threads=*/1);
+}
+
+TEST(ReplicationAllocTest, SteadyStateChunkApplyIsAllocationFreeTwoThreads) {
+  ExpectSteadyStateChunkApplyAllocationFree(/*recovery_threads=*/2);
 }
 
 TEST(PageTableAllocTest, PutFindEraseAreAllocationFreeAfterConstruction) {

@@ -22,6 +22,7 @@ class RedoTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_OK(Engine::Open(SmallOptions(), &engine_));
+    ASSERT_OK(engine_->OpenDefaultTable(&table_));
     driver_ = std::make_unique<WorkloadDriver>(engine_.get(),
                                                WorkloadConfig{});
   }
@@ -44,6 +45,7 @@ class RedoTest : public ::testing::Test {
   Lsn Start() { return engine_->wal().master().bckpt_lsn; }
 
   std::unique_ptr<Engine> engine_;
+  Table table_;
   std::unique_ptr<WorkloadDriver> driver_;
 };
 
@@ -157,12 +159,12 @@ TEST_F(RedoTest, RedoAfterRuntimeAbortReplaysClrs) {
   // rolled-back state is reconstructed; undo must NOT touch this txn.
   ASSERT_OK(driver_->RunOps(100));
   ASSERT_OK(engine_->Checkpoint());
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
   const std::string val(engine_->options().value_size, 'Z');
-  ASSERT_OK(engine_->Update(t, 11, val));
-  ASSERT_OK(engine_->Update(t, 12, val));
-  ASSERT_OK(engine_->Abort(t));
+  ASSERT_OK(t.Update(table_, 11, val));
+  ASSERT_OK(t.Update(table_, 12, val));
+  ASSERT_OK(t.Abort());
 
   driver_->OnCrash();
   engine_->SimulateCrash();

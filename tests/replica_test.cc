@@ -1,9 +1,11 @@
 // Logical log shipping tests (paper §1.1): a replica with a DIFFERENT page
 // geometry applies the primary's logical records and converges to identical
-// logical content.
+// logical content. The fixture runs at recovery_threads 1 (the inline crew)
+// and 2 (a threaded crew): the standby has one apply path at both.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/replica.h"
 #include "test_util.h"
@@ -14,15 +16,23 @@ namespace {
 
 using testing_util::SmallOptions;
 
-class ReplicaTest : public ::testing::Test {
+class ReplicaTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
     primary_opts_ = SmallOptions();           // 1 KB pages
     replica_opts_ = SmallOptions();
     replica_opts_.page_size = 4096;           // different physical geometry
     replica_opts_.cache_pages = 32;
+    replica_opts_.recovery_threads = GetParam();
     ASSERT_OK(Engine::Open(primary_opts_, &primary_));
     ASSERT_OK(LogicalReplica::Open(replica_opts_, &replica_));
+    ASSERT_OK(primary_->OpenDefaultTable(&table_));
+  }
+
+  /// Publish everything the primary made stable and pump it all across.
+  void Ship() {
+    channel_.Publish(*primary_);
+    ASSERT_OK(replica_->Pump(&channel_));
   }
 
   void ExpectConverged() {
@@ -39,74 +49,76 @@ class ReplicaTest : public ::testing::Test {
   EngineOptions replica_opts_;
   std::unique_ptr<Engine> primary_;
   std::unique_ptr<LogicalReplica> replica_;
+  Table table_;  ///< The primary's default table.
+  ReplicationChannel channel_;
 };
 
-TEST_F(ReplicaTest, CommittedTransactionsReplicate) {
+INSTANTIATE_TEST_SUITE_P(Threads, ReplicaTest, ::testing::Values(1u, 2u),
+                         [](const auto& param_info) {
+                           return "Threads" +
+                                  std::to_string(param_info.param);
+                         });
+
+TEST_P(ReplicaTest, CommittedTransactionsReplicate) {
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(300));
-  Lsn next = kFirstLsn;
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), kFirstLsn, &next));
+  Ship();
   EXPECT_EQ(replica_->txns_applied(), driver.txns_committed());
   ExpectConverged();
 }
 
-TEST_F(ReplicaTest, IncrementalSyncResumesCleanly) {
+TEST_P(ReplicaTest, IncrementalSyncResumesCleanly) {
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
-  Lsn next = kFirstLsn;
   for (int round = 0; round < 5; round++) {
     ASSERT_OK(driver.RunOps(100));
-    ASSERT_OK(replica_->SyncFrom(primary_->wal(), next, &next));
+    Ship();
   }
   ExpectConverged();
 }
 
-TEST_F(ReplicaTest, AbortedTransactionsAreNotApplied) {
-  TxnId t;
+TEST_P(ReplicaTest, AbortedTransactionsAreNotApplied) {
+  Txn t;
   ASSERT_OK(primary_->Begin(&t));
-  ASSERT_OK(primary_->Update(
-      t, 7, SynthesizeValueString(7, 1, primary_opts_.value_size)));
-  ASSERT_OK(primary_->Abort(t));
-  Lsn next = kFirstLsn;
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), kFirstLsn, &next));
+  ASSERT_OK(t.Update(
+      table_, 7, SynthesizeValueString(7, 1, primary_opts_.value_size)));
+  ASSERT_OK(t.Abort());
+  Ship();
   EXPECT_EQ(replica_->txns_applied(), 0u);
   std::string v;
-  ASSERT_OK(replica_->Read(7, &v));
+  ASSERT_OK(replica_->SnapshotRead(table_.id(), 7, &v));
   EXPECT_EQ(v, SynthesizeValueString(7, 0, primary_opts_.value_size));
 }
 
-TEST_F(ReplicaTest, UncommittedTailStaysBuffered) {
-  TxnId t;
+TEST_P(ReplicaTest, UncommittedTailStaysBuffered) {
+  Txn t;
   ASSERT_OK(primary_->Begin(&t));
-  ASSERT_OK(primary_->Update(
-      t, 9, SynthesizeValueString(9, 1, primary_opts_.value_size)));
+  ASSERT_OK(t.Update(
+      table_, 9, SynthesizeValueString(9, 1, primary_opts_.value_size)));
   primary_->tc().ForceLog();
-  Lsn next = kFirstLsn;
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), kFirstLsn, &next));
+  Ship();
   EXPECT_EQ(replica_->ops_applied(), 0u);
   // Commit arrives in the next batch; the buffered ops apply then.
-  ASSERT_OK(primary_->Commit(t));
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), next, &next));
+  ASSERT_OK(t.Commit());
+  Ship();
   EXPECT_EQ(replica_->ops_applied(), 1u);
   ExpectConverged();
 }
 
-TEST_F(ReplicaTest, InsertsReplicateAcrossGeometries) {
+TEST_P(ReplicaTest, InsertsReplicateAcrossGeometries) {
   WorkloadConfig wc;
   wc.insert_fraction = 0.4;
   WorkloadDriver driver(primary_.get(), wc);
   ASSERT_OK(driver.RunOps(400));
-  Lsn next = kFirstLsn;
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), kFirstLsn, &next));
+  Ship();
   ExpectConverged();
   uint64_t rows = 0;
   ASSERT_OK(replica_->engine().dc().btree().CheckWellFormed(&rows));
 }
 
-TEST_F(ReplicaTest, ReplicaSurvivesItsOwnCrash) {
+TEST_P(ReplicaTest, ReplicaSurvivesItsOwnCrash) {
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(200));
-  Lsn next = kFirstLsn;
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), kFirstLsn, &next));
+  Ship();
   // The replica is a full engine: crash it and recover logically.
   replica_->engine().SimulateCrash();
   RecoveryStats st;
@@ -167,7 +179,7 @@ TEST(ReplicationChannelTest, PublishPullBoundsAndStats) {
 // own merges (1 KB leaves), the 4 KB standby must run ITS OWN delete-side
 // SMOs locally — and both sides end with zero empty leaves and identical
 // exact row counts.
-TEST_F(ReplicaTest, DeleteHeavyMergeChurnConvergesCrossGeometry) {
+TEST_P(ReplicaTest, DeleteHeavyMergeChurnConvergesCrossGeometry) {
   ReplicationChannel channel;
   WorkloadConfig wc;
   wc.insert_fraction = 0.15;
@@ -182,13 +194,11 @@ TEST_F(ReplicaTest, DeleteHeavyMergeChurnConvergesCrossGeometry) {
   // Drain whole key ranges so leaves empty out on BOTH geometries (a 4 KB
   // leaf holds ~4x more rows than a 1 KB one). The driver may already have
   // deleted some of these keys — only NotFound is acceptable then.
-  Table table;
-  ASSERT_OK(primary_->OpenDefaultTable(&table));
   for (Key lo = 500; lo < 2500; lo += 50) {
     Txn txn;
     ASSERT_OK(primary_->Begin(&txn));
     for (Key k = lo; k < lo + 50; k++) {
-      const Status s = txn.Delete(table, k);
+      const Status s = txn.Delete(table_, k);
       ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
     }
     ASSERT_OK(txn.Commit());
@@ -218,7 +228,7 @@ TEST_F(ReplicaTest, DeleteHeavyMergeChurnConvergesCrossGeometry) {
       << "the standby never exercised its local delete-side SMO path";
 }
 
-TEST_F(ReplicaTest, PumpChunkProgressAndLagStats) {
+TEST_P(ReplicaTest, PumpChunkProgressAndLagStats) {
   ReplicationChannel channel;
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(200));
@@ -249,7 +259,7 @@ TEST_F(ReplicaTest, PumpChunkProgressAndLagStats) {
   ExpectConverged();
 }
 
-TEST_F(ReplicaTest, SnapshotReadsGateAtShipBoundary) {
+TEST_P(ReplicaTest, SnapshotReadsGateAtShipBoundary) {
   ReplicationChannel channel;
   const TableId table = primary_opts_.table_id;
   const std::string v0 = SynthesizeValueString(5, 0, primary_opts_.value_size);
@@ -259,10 +269,10 @@ TEST_F(ReplicaTest, SnapshotReadsGateAtShipBoundary) {
   ASSERT_OK(replica_->Pump(&channel));
   const Lsn boundary0 = replica_->read_boundary();
 
-  TxnId t;
+  Txn t;
   ASSERT_OK(primary_->Begin(&t));
-  ASSERT_OK(primary_->Update(t, 5, v1));
-  ASSERT_OK(primary_->Commit(t));
+  ASSERT_OK(t.Update(table_, 5, v1));
+  ASSERT_OK(t.Commit());
   channel.Publish(*primary_);
 
   // Published but not pumped: the read gate still sits at the old
@@ -279,7 +289,7 @@ TEST_F(ReplicaTest, SnapshotReadsGateAtShipBoundary) {
   EXPECT_EQ(replica_->read_boundary(), channel.published_end());
 }
 
-TEST_F(ReplicaTest, PromoteAtCleanBoundaryAcceptsWrites) {
+TEST_P(ReplicaTest, PromoteAtCleanBoundaryAcceptsWrites) {
   ReplicationChannel channel;
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(150));
@@ -287,7 +297,7 @@ TEST_F(ReplicaTest, PromoteAtCleanBoundaryAcceptsWrites) {
   ASSERT_OK(replica_->Pump(&channel));
 
   // A standby refuses external writes...
-  TxnId t;
+  Txn t;
   EXPECT_FALSE(replica_->engine().Begin(&t).ok());
   EXPECT_FALSE(replica_->promoted());
 
@@ -299,11 +309,13 @@ TEST_F(ReplicaTest, PromoteAtCleanBoundaryAcceptsWrites) {
   // of its own to the next generation's standby.
   const std::string v =
       SynthesizeValueString(11, 9, primary_opts_.value_size);
+  Table promoted_table;
+  ASSERT_OK(replica_->engine().OpenDefaultTable(&promoted_table));
   ASSERT_OK(replica_->engine().Begin(&t));
-  ASSERT_OK(replica_->engine().Update(t, 11, v));
-  ASSERT_OK(replica_->engine().Commit(t));
+  ASSERT_OK(t.Update(promoted_table, 11, v));
+  ASSERT_OK(t.Commit());
   std::string got;
-  ASSERT_OK(replica_->Read(11, &got));
+  ASSERT_OK(replica_->SnapshotRead(promoted_table.id(), 11, &got));
   EXPECT_EQ(got, v);
 
   // Pumping a promoted standby is a refused operation, not a crash.
@@ -311,7 +323,7 @@ TEST_F(ReplicaTest, PromoteAtCleanBoundaryAcceptsWrites) {
   EXPECT_FALSE(replica_->PumpChunk(&channel, 512, &progressed).ok());
 }
 
-TEST_F(ReplicaTest, StandbyCrashMidChunkResumesFromCursor) {
+TEST_P(ReplicaTest, StandbyCrashMidChunkResumesFromCursor) {
   ReplicationChannel channel;
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(200));

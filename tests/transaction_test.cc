@@ -20,6 +20,7 @@ class TransactionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_OK(Engine::Open(SmallOptions(), &engine_));
+    ASSERT_OK(engine_->OpenDefaultTable(&table_));
   }
 
   std::string Val(Key k, uint32_t version) {
@@ -36,13 +37,14 @@ class TransactionTest : public ::testing::Test {
   }
 
   std::unique_ptr<Engine> engine_;
+  Table table_;
 };
 
 TEST_F(TransactionTest, CommitMakesUpdateVisibleAndDurable) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 5, Val(5, 1)));
-  ASSERT_OK(engine_->Commit(t));
+  ASSERT_OK(t.Update(table_, 5, Val(5, 1)));
+  ASSERT_OK(t.Commit());
   std::string v;
   ASSERT_OK(engine_->Read(5, &v));
   EXPECT_EQ(v, Val(5, 1));
@@ -55,11 +57,11 @@ TEST_F(TransactionTest, CommitMakesUpdateVisibleAndDurable) {
 }
 
 TEST_F(TransactionTest, AbortRestoresBeforeImages) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 5, Val(5, 1)));
-  ASSERT_OK(engine_->Update(t, 6, Val(6, 1)));
-  ASSERT_OK(engine_->Abort(t));
+  ASSERT_OK(t.Update(table_, 5, Val(5, 1)));
+  ASSERT_OK(t.Update(table_, 6, Val(6, 1)));
+  ASSERT_OK(t.Abort());
   std::string v;
   ASSERT_OK(engine_->Read(5, &v));
   EXPECT_EQ(v, Val(5, 0));  // bulk-load value restored
@@ -69,11 +71,11 @@ TEST_F(TransactionTest, AbortRestoresBeforeImages) {
 }
 
 TEST_F(TransactionTest, AbortWritesClrChainWithUndoNext) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 5, Val(5, 1)));
-  ASSERT_OK(engine_->Update(t, 6, Val(6, 1)));
-  ASSERT_OK(engine_->Abort(t));
+  ASSERT_OK(t.Update(table_, 5, Val(5, 1)));
+  ASSERT_OK(t.Update(table_, 6, Val(6, 1)));
+  ASSERT_OK(t.Abort());
   int clrs = 0;
   bool abort_seen = false;
   for (auto it = engine_->wal().NewIterator(kFirstLsn, false); it.Valid();
@@ -89,50 +91,53 @@ TEST_F(TransactionTest, AbortWritesClrChainWithUndoNext) {
 }
 
 TEST_F(TransactionTest, AbortOfInsertDeletesRecord) {
-  TxnId t;
+  Txn t;
   const Key fresh = engine_->options().num_rows + 10;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Insert(t, fresh, Val(fresh, 1)));
+  ASSERT_OK(t.Insert(table_, fresh, Val(fresh, 1)));
   std::string v;
   ASSERT_OK(engine_->Read(fresh, &v));  // visible pre-abort (no isolation)
-  ASSERT_OK(engine_->Abort(t));
+  ASSERT_OK(t.Abort());
   EXPECT_TRUE(engine_->Read(fresh, &v).IsNotFound());
 }
 
 TEST_F(TransactionTest, UpdateOfUnknownKeyFails) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
   EXPECT_TRUE(
-      engine_->Update(t, engine_->options().num_rows + 999, Val(1, 1))
+      t.Update(table_, engine_->options().num_rows + 999, Val(1, 1))
           .IsNotFound());
-  ASSERT_OK(engine_->Abort(t));
+  ASSERT_OK(t.Abort());
 }
 
 TEST_F(TransactionTest, ConflictingUpdateIsBusy) {
-  TxnId a, b;
+  Txn a, b;
   ASSERT_OK(engine_->Begin(&a));
   ASSERT_OK(engine_->Begin(&b));
-  ASSERT_OK(engine_->Update(a, 5, Val(5, 1)));
-  EXPECT_TRUE(engine_->Update(b, 5, Val(5, 2)).IsBusy());
-  ASSERT_OK(engine_->Commit(a));
-  ASSERT_OK(engine_->Update(b, 5, Val(5, 2)));
-  ASSERT_OK(engine_->Commit(b));
+  ASSERT_OK(a.Update(table_, 5, Val(5, 1)));
+  EXPECT_TRUE(b.Update(table_, 5, Val(5, 2)).IsBusy());
+  ASSERT_OK(a.Commit());
+  ASSERT_OK(b.Update(table_, 5, Val(5, 2)));
+  ASSERT_OK(b.Commit());
   std::string v;
   ASSERT_OK(engine_->Read(5, &v));
   EXPECT_EQ(v, Val(5, 2));
 }
 
 TEST_F(TransactionTest, OperationsOnUnknownTxnFail) {
-  EXPECT_TRUE(engine_->Update(999, 1, Val(1, 1)).IsInvalidArgument());
-  EXPECT_TRUE(engine_->Commit(999).IsInvalidArgument());
-  EXPECT_TRUE(engine_->Abort(999).IsInvalidArgument());
+  // A Txn handle cannot name an unknown id; the TC refuses raw ones.
+  TransactionComponent& tc = engine_->tc();
+  EXPECT_TRUE(
+      tc.Update(999, table_.id(), 1, Val(1, 1)).IsInvalidArgument());
+  EXPECT_TRUE(tc.Commit(999).IsInvalidArgument());
+  EXPECT_TRUE(tc.Abort(999).IsInvalidArgument());
 }
 
 TEST_F(TransactionTest, CheckpointWritesProtocolRecordsInOrder) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 5, Val(5, 1)));
-  ASSERT_OK(engine_->Commit(t));
+  ASSERT_OK(t.Update(table_, 5, Val(5, 1)));
+  ASSERT_OK(t.Commit());
   ASSERT_OK(engine_->Checkpoint());
 
   // Find the LAST bCkpt..eCkpt window and check the RSSP ack sits between.
@@ -162,10 +167,12 @@ TEST_F(TransactionTest, CheckpointWritesProtocolRecordsInOrder) {
 }
 
 TEST_F(TransactionTest, CheckpointFlushesPreBckptDirt) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  for (Key k = 0; k < 30; k++) ASSERT_OK(engine_->Update(t, k * 50, Val(k * 50, 1)));
-  ASSERT_OK(engine_->Commit(t));
+  for (Key k = 0; k < 30; k++) {
+    ASSERT_OK(t.Update(table_, k * 50, Val(k * 50, 1)));
+  }
+  ASSERT_OK(t.Commit());
   uint64_t flushed = 0;
   ASSERT_OK(engine_->Checkpoint(&flushed));
   EXPECT_GT(flushed, 0u);
@@ -174,19 +181,19 @@ TEST_F(TransactionTest, CheckpointFlushesPreBckptDirt) {
 
 TEST_F(TransactionTest, EoslAdvancesWithCommits) {
   const Lsn before = engine_->dc().elsn();
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 5, Val(5, 1)));
-  ASSERT_OK(engine_->Commit(t));
+  ASSERT_OK(t.Update(table_, 5, Val(5, 1)));
+  ASSERT_OK(t.Commit());
   EXPECT_GT(engine_->dc().elsn(), before);
   EXPECT_EQ(engine_->dc().elsn(), engine_->wal().stable_end());
 }
 
 TEST_F(TransactionTest, CrashDuringCheckpointKeepsOldRedoScanStart) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 5, Val(5, 1)));
-  ASSERT_OK(engine_->Commit(t));
+  ASSERT_OK(t.Update(table_, 5, Val(5, 1)));
+  ASSERT_OK(t.Commit());
   ASSERT_OK(engine_->Checkpoint());
   const Lsn old_bckpt = engine_->wal().master().bckpt_lsn;
 
@@ -195,10 +202,10 @@ TEST_F(TransactionTest, CrashDuringCheckpointKeepsOldRedoScanStart) {
   CrashPoints cp;
   cp.after_rssp = true;
   engine_->tc().set_crash_points(cp);
-  TxnId t2;
+  Txn t2;
   ASSERT_OK(engine_->Begin(&t2));
-  ASSERT_OK(engine_->Update(t2, 6, Val(6, 1)));
-  ASSERT_OK(engine_->Commit(t2));
+  ASSERT_OK(t2.Update(table_, 6, Val(6, 1)));
+  ASSERT_OK(t2.Commit());
   EXPECT_TRUE(engine_->Checkpoint().IsAborted());
   EXPECT_EQ(engine_->wal().master().bckpt_lsn, old_bckpt);
 
@@ -211,10 +218,10 @@ TEST_F(TransactionTest, CrashDuringCheckpointKeepsOldRedoScanStart) {
 }
 
 TEST_F(TransactionTest, CrashAfterBeginCheckpointRecovers) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 7, Val(7, 1)));
-  ASSERT_OK(engine_->Commit(t));
+  ASSERT_OK(t.Update(table_, 7, Val(7, 1)));
+  ASSERT_OK(t.Commit());
   CrashPoints cp;
   cp.after_begin_checkpoint = true;
   engine_->tc().set_crash_points(cp);
@@ -228,17 +235,18 @@ TEST_F(TransactionTest, CrashAfterBeginCheckpointRecovers) {
 }
 
 TEST_F(TransactionTest, TxnIdsResumePastCrash) {
-  TxnId t1;
+  Txn t1;
   ASSERT_OK(engine_->Begin(&t1));
-  ASSERT_OK(engine_->Update(t1, 5, Val(5, 1)));
-  ASSERT_OK(engine_->Commit(t1));
+  ASSERT_OK(t1.Update(table_, 5, Val(5, 1)));
+  const TxnId id1 = t1.id();
+  ASSERT_OK(t1.Commit());
   engine_->SimulateCrash();
   RecoveryStats st;
   ASSERT_OK(engine_->Recover(RecoveryMethod::kLog1, &st));
-  TxnId t2;
+  Txn t2;
   ASSERT_OK(engine_->Begin(&t2));
-  EXPECT_GT(t2, t1);
-  ASSERT_OK(engine_->Abort(t2));
+  EXPECT_GT(t2.id(), id1);
+  ASSERT_OK(t2.Abort());
 }
 
 }  // namespace

@@ -21,6 +21,7 @@ class UndoTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_OK(Engine::Open(SmallOptions(), &engine_));
+    ASSERT_OK(engine_->OpenDefaultTable(&table_));
   }
 
   std::string Val(Key k, uint32_t version) {
@@ -28,22 +29,24 @@ class UndoTest : public ::testing::Test {
   }
 
   std::unique_ptr<Engine> engine_;
+  Table table_;
 };
 
 TEST_F(UndoTest, MultipleLosersAllRolledBack) {
-  TxnId a, b, c;
+  Txn a, b, c;
   ASSERT_OK(engine_->Begin(&a));
   ASSERT_OK(engine_->Begin(&b));
   ASSERT_OK(engine_->Begin(&c));
   // Interleaved updates across three losers on disjoint keys.
-  ASSERT_OK(engine_->Update(a, 10, Val(10, 1)));
-  ASSERT_OK(engine_->Update(b, 20, Val(20, 1)));
-  ASSERT_OK(engine_->Update(c, 30, Val(30, 1)));
-  ASSERT_OK(engine_->Update(a, 11, Val(11, 1)));
-  ASSERT_OK(engine_->Update(b, 21, Val(21, 1)));
+  ASSERT_OK(a.Update(table_, 10, Val(10, 1)));
+  ASSERT_OK(b.Update(table_, 20, Val(20, 1)));
+  ASSERT_OK(c.Update(table_, 30, Val(30, 1)));
+  ASSERT_OK(a.Update(table_, 11, Val(11, 1)));
+  ASSERT_OK(b.Update(table_, 21, Val(21, 1)));
   engine_->tc().ForceLog();
 
   engine_->SimulateCrash();
+  for (Txn* loser : {&a, &b, &c}) loser->Release();  // recovery undoes them
   RecoveryStats st;
   ASSERT_OK(engine_->Recover(RecoveryMethod::kLog1, &st));
   EXPECT_EQ(st.txns_undone, 3u);
@@ -56,10 +59,11 @@ TEST_F(UndoTest, MultipleLosersAllRolledBack) {
 }
 
 TEST_F(UndoTest, LoserWithOnlyBeginRecordIsHarmless) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
   engine_->tc().ForceLog();
   engine_->SimulateCrash();
+  t.Release();
   RecoveryStats st;
   ASSERT_OK(engine_->Recover(RecoveryMethod::kSql1, &st));
   EXPECT_EQ(st.txns_undone, 1u);
@@ -69,16 +73,17 @@ TEST_F(UndoTest, LoserWithOnlyBeginRecordIsHarmless) {
 TEST_F(UndoTest, CommittedAndLoserOnSameKeySequence) {
   // Committed txn sets version 1; the loser overwrites with version 2 but
   // never commits: undo must restore version 1, not version 0.
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 42, Val(42, 1)));
-  ASSERT_OK(engine_->Commit(t));
-  TxnId loser;
+  ASSERT_OK(t.Update(table_, 42, Val(42, 1)));
+  ASSERT_OK(t.Commit());
+  Txn loser;
   ASSERT_OK(engine_->Begin(&loser));
-  ASSERT_OK(engine_->Update(loser, 42, Val(42, 2)));
+  ASSERT_OK(loser.Update(table_, 42, Val(42, 2)));
   engine_->tc().ForceLog();
 
   engine_->SimulateCrash();
+  loser.Release();
   RecoveryStats st;
   ASSERT_OK(engine_->Recover(RecoveryMethod::kLog2, &st));
   std::string v;
@@ -128,12 +133,13 @@ TEST_F(UndoTest, CrashDuringUndoThenFullRecovery) {
 
 TEST_F(UndoTest, UndoOfInsertsDeletesRows) {
   const Key fresh = engine_->options().num_rows + 1;
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Insert(t, fresh, Val(fresh, 1)));
-  ASSERT_OK(engine_->Insert(t, fresh + 1, Val(fresh + 1, 1)));
+  ASSERT_OK(t.Insert(table_, fresh, Val(fresh, 1)));
+  ASSERT_OK(t.Insert(table_, fresh + 1, Val(fresh + 1, 1)));
   engine_->tc().ForceLog();
   engine_->SimulateCrash();
+  t.Release();
   RecoveryStats st;
   ASSERT_OK(engine_->Recover(RecoveryMethod::kLog1, &st));
   std::string v;
@@ -146,13 +152,14 @@ TEST_F(UndoTest, UndoOfInsertsDeletesRows) {
 
 TEST_F(UndoTest, MixedLoserInsertAndUpdate) {
   const Key fresh = engine_->options().num_rows + 5;
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 7, Val(7, 1)));
-  ASSERT_OK(engine_->Insert(t, fresh, Val(fresh, 1)));
-  ASSERT_OK(engine_->Update(t, fresh, Val(fresh, 2)));
+  ASSERT_OK(t.Update(table_, 7, Val(7, 1)));
+  ASSERT_OK(t.Insert(table_, fresh, Val(fresh, 1)));
+  ASSERT_OK(t.Update(table_, fresh, Val(fresh, 2)));
   engine_->tc().ForceLog();
   engine_->SimulateCrash();
+  t.Release();
   RecoveryStats st;
   ASSERT_OK(engine_->Recover(RecoveryMethod::kLog2, &st));
   EXPECT_EQ(st.undo_ops, 3u);
@@ -163,13 +170,14 @@ TEST_F(UndoTest, MixedLoserInsertAndUpdate) {
 }
 
 TEST_F(UndoTest, UndoPassTimingIsRecorded) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
   for (Key k = 0; k < 20; k++) {
-    ASSERT_OK(engine_->Update(t, k * 37, Val(k * 37, 1)));
+    ASSERT_OK(t.Update(table_, k * 37, Val(k * 37, 1)));
   }
   engine_->tc().ForceLog();
   engine_->SimulateCrash();
+  t.Release();
   RecoveryStats st;
   ASSERT_OK(engine_->Recover(RecoveryMethod::kLog1, &st));
   EXPECT_EQ(st.undo_ops, 20u);

@@ -15,8 +15,12 @@ using testing_util::SmallOptions;
 
 class WorkloadTest : public ::testing::Test {
  protected:
-  void SetUp() override { ASSERT_OK(Engine::Open(SmallOptions(), &engine_)); }
+  void SetUp() override {
+    ASSERT_OK(Engine::Open(SmallOptions(), &engine_));
+    ASSERT_OK(engine_->OpenDefaultTable(&table_));
+  }
   std::unique_ptr<Engine> engine_;
+  Table table_;
 };
 
 TEST_F(WorkloadTest, RunOpsCommitsWholeTransactions) {
@@ -70,11 +74,11 @@ TEST_F(WorkloadTest, VerifyDetectsCorruption) {
   ASSERT_OK(driver.RunOps(50));
   // Corrupt one committed row behind the oracle's back.
   const Key victim = driver.committed_versions().begin()->first;
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(
-      t, victim, std::string(engine_->options().value_size, '!')));
-  ASSERT_OK(engine_->Commit(t));
+  const std::string junk(engine_->options().value_size, '!');
+  ASSERT_OK(t.Update(table_, victim, junk));
+  ASSERT_OK(t.Commit());
   uint64_t checked = 0;
   EXPECT_TRUE(driver.Verify(0, &checked).IsCorruption());
 }
