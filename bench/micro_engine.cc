@@ -12,7 +12,6 @@
 #include "core/engine.h"
 #include "recovery/analysis.h"
 #include "recovery/dpt.h"
-#include "recovery/parallel_redo.h"
 #include "recovery/redo.h"
 #include "recovery/undo.h"
 #include "sim/clock.h"
@@ -422,8 +421,8 @@ void BM_LogicalRedo(benchmark::State& state) {
   for (auto _ : state) {
     RedoResult redo;
     benchmark::DoNotOptimize(
-        RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
-                       &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o, &redo));
+        RunLogicalRedo(&e->wal(), &e->dc(), start, &dcr.dpt,
+                       dcr.last_delta_tc_lsn, nullptr, o, &redo));
     records += redo.records_scanned;
     hits += redo.leaf_memo_hits;
     examined += redo.examined;
@@ -445,7 +444,7 @@ BENCHMARK(BM_LogicalRedo)->ArgsProduct({{0, 1}, {0, 1, 2}});
 // redo pass re-applies every operation — the measurement includes the
 // parallelizable leaf work, not just scan + traversal. Timing is manual
 // and covers exactly the redo pass (restore/DC-pass setup is untimed).
-// /1 is the serial pass (the pipeline is bypassed entirely); speedup at
+// /1 routes nothing (every op applies on the dispatcher); speedup at
 // /2 and /4 is real_time(/1) / real_time(/N) in BENCH_micro.json — note
 // the JSON context records num_cpus: scaling needs physical cores.
 // sim_redo_ms reports the SIMULATED redo time (I/O + dispatcher CPU +
@@ -507,16 +506,9 @@ void BM_ParallelRedo(benchmark::State& state) {
     RedoResult redo;
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();
-    if (threads == 1) {
-      (void)RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
-                           &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o,
-                           &redo);
-    } else {
-      (void)RunLogicalRedoParallel(&e->wal(), &e->dc(), start,
-                                   /*use_dpt=*/true, &dcr.dpt,
-                                   dcr.last_delta_tc_lsn, nullptr, o,
-                                   threads, &redo);
-    }
+    (void)RunLogicalRedo(&e->wal(), &e->dc(), start, &dcr.dpt,
+                         dcr.last_delta_tc_lsn, nullptr, o, &redo,
+                         kInvalidLsn, threads);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(
         std::chrono::duration<double>(t1 - t0).count());
@@ -684,8 +676,8 @@ void BM_ParallelUndo(benchmark::State& state) {
     (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
                         /*build_dpt=*/true, /*preload=*/false, &dcr);
     RedoResult redo;
-    (void)RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
-                         &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o, &redo);
+    (void)RunLogicalRedo(&e->wal(), &e->dc(), start, &dcr.dpt,
+                         dcr.last_delta_tc_lsn, nullptr, o, &redo);
     UndoResult ur;
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();

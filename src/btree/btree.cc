@@ -288,6 +288,26 @@ Status LeafApplyUpsert(PageView page, uint32_t value_size, Key key,
   return Status::OK();
 }
 
+Status ApplyLeafOp(PageView page, LogRecordType type, uint32_t value_size,
+                   Key key, Slice after) {
+  int64_t unused_delta = 0;
+  switch (type) {
+    case LogRecordType::kUpdate:
+      return LeafApplyUpdate(page, value_size, key, after);
+    case LogRecordType::kInsert:
+      return LeafApplyInsert(page, value_size, key, after, &unused_delta);
+    case LogRecordType::kDelete:
+      return LeafApplyDelete(page, value_size, key, &unused_delta);
+    case LogRecordType::kClr:
+      if (after.empty()) {
+        return LeafApplyDelete(page, value_size, key, &unused_delta);
+      }
+      return LeafApplyUpsert(page, value_size, key, after, &unused_delta);
+    default:
+      return Status::InvalidArgument("not a data op");
+  }
+}
+
 Status BTree::ApplyUpdate(PageId pid, Key key, Slice value, Lsn lsn) {
   PageHandle h;
   DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kData, &h));

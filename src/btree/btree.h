@@ -69,9 +69,9 @@ Status RedoPhysicalImages(BufferPool* pool, SimDisk* disk,
 // accumulates the row-count change into *rows_delta. They perform NO
 // buffer-pool access and do NOT stamp the pLSN: the caller owns the pin
 // and the MarkDirty. BTree::Apply* wrap them for normal operation; the
-// partitioned parallel redo workers call them directly so the leaf work
-// (binary search, shift, copy) runs outside the pool lock, on a page only
-// their partition may touch.
+// partitioned redo, undo and replay workers call them directly so the leaf
+// work (binary search, shift, copy) runs outside the pool lock, on a page
+// only their partition may touch.
 
 /// Overwrite `key`'s payload; NotFound if the key is not on the page.
 Status LeafApplyUpdate(PageView page, uint32_t value_size, Key key,
@@ -85,6 +85,13 @@ Status LeafApplyDelete(PageView page, uint32_t value_size, Key key,
 /// Update-or-insert (CLR replay; idempotent under partial redo states).
 Status LeafApplyUpsert(PageView page, uint32_t value_size, Key key,
                        Slice value, int64_t* rows_delta);
+/// Re-execute one logged data op (kUpdate/kInsert/kDelete/kClr) on a
+/// pinned leaf: redo workers, standby replay and single-page repair. A CLR
+/// with an empty restored image compensates an insert (delete the row);
+/// otherwise it restores as an upsert. Row accounting is the caller's
+/// scan, so the leaf's row delta is dropped.
+Status ApplyLeafOp(PageView page, LogRecordType type, uint32_t value_size,
+                   Key key, Slice after);
 
 class BTree;
 

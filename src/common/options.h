@@ -219,8 +219,10 @@ struct EngineOptions {
   /// barrier around structure changes.
   ///  * Analysis: N DPT shards; at 1 the single shard applies inline on
   ///    the dispatcher's thread.
-  ///  * Redo: at 1 the serial RunLogicalRedo/RunSqlRedo run (the fig2a
-  ///    baseline); N > 1 runs the partitioned pipeline.
+  ///  * Redo: one dispatcher per method family (RunLogicalRedo,
+  ///    RunSqlRedo); N > 1 routes data ops to N apply workers, at 1 nothing
+  ///    is routed and every op applies on the dispatcher (the fig2a
+  ///    baseline).
   ///  * Undo: the dispatcher appends every CLR; N > 1 fans update-undo leaf
   ///    restores out to N apply workers, at 1 nothing is routed.
   ///  * Standby replay: the same crew at every value; at 1 its single

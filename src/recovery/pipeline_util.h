@@ -1,7 +1,7 @@
 // The dispatcher/worker skeleton shared by every partitioned pass: the
-// analysis/DPT build (recovery/analysis.cc), redo
-// (recovery/parallel_redo.cc), undo (recovery/undo.cc) and the standby
-// replication applier (core/replica.cc). All four have the same shape —
+// analysis/DPT build (recovery/analysis.cc), redo (recovery/redo.cc),
+// undo (recovery/undo.cc) and the standby replication applier
+// (core/replica.cc). All four have the same shape —
 // one log-scanning dispatcher routing fixed-size items by hash(pid) to
 // per-partition consumers over bounded FIFO queues — so the queue, the
 // wait policy, the worker thread with its drain barrier and error
@@ -36,7 +36,6 @@
 #include "common/types.h"
 #include "dc/data_component.h"
 #include "storage/buffer_pool.h"
-#include "wal/log_record.h"
 
 namespace deutero {
 
@@ -146,29 +145,6 @@ class TableRegistry {
  private:
   std::vector<std::pair<TableId, uint32_t>> value_sizes_;
 };
-
-/// Re-execute one routed data op on a pinned leaf (redo and standby
-/// replay). A CLR with an empty restored image compensates an insert
-/// (delete the row); otherwise it restores as an upsert (see redo.cc
-/// ApplyDataOp). Row accounting is the dispatcher's, so the leaf's row
-/// delta is dropped.
-inline Status ApplyLeafOp(PageView page, LogRecordType type,
-                          uint32_t value_size, Key key, Slice after) {
-  int64_t delta = 0;
-  switch (type) {
-    case LogRecordType::kUpdate:
-      return LeafApplyUpdate(page, value_size, key, after);
-    case LogRecordType::kInsert:
-      return LeafApplyInsert(page, value_size, key, after, &delta);
-    case LogRecordType::kDelete:
-      return LeafApplyDelete(page, value_size, key, &delta);
-    case LogRecordType::kClr:
-      if (after.empty()) return LeafApplyDelete(page, value_size, key, &delta);
-      return LeafApplyUpsert(page, value_size, key, after, &delta);
-    default:
-      return Status::InvalidArgument("not a data op");
-  }
-}
 
 /// A worker's small LRU cache of pinned data pages. Consecutive items on
 /// the same leaf (log locality) reuse one pinned handle, and re-stamping

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "recovery/redo.h"
+
 namespace deutero {
 
 void PrefetchWindow::Drain() {
@@ -71,14 +73,13 @@ void LogDrivenPrefetcher::Pump(uint64_t redo_records_consumed) {
          ahead_consumed_ < redo_records_consumed + lookahead_records_) {
     const LogRecordView& rec = ahead_.record();
     ahead_consumed_++;
-    if (rec.IsRedoableDataOp()) {
-      const DirtyPageTable::Entry* e = dpt_->Find(rec.pid);
-      // Issue only if the DPT says this record might need redo.
-      if (e != nullptr && rec.lsn >= e->rlsn &&
-          !window_.pool()->IsResidentOrPending(rec.pid)) {
-        batch.push_back(rec.pid);
-        budget--;
-      }
+    // Issue only if the DPT says this record might need redo.
+    if (rec.IsRedoableDataOp() &&
+        ClassifyRedo(dpt_, kNoRedoTail, rec.lsn, rec.pid) ==
+            RedoDptOutcome::kFetch &&
+        !window_.pool()->IsResidentOrPending(rec.pid)) {
+      batch.push_back(rec.pid);
+      budget--;
     }
     ahead_.Next();
   }

@@ -4,7 +4,6 @@
 
 #include "recovery/analysis.h"
 #include "recovery/dpt.h"
-#include "recovery/parallel_redo.h"
 #include "recovery/redo.h"
 #include "recovery/undo.h"
 
@@ -86,17 +85,10 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
     stats->analysis_shard_cpu_ms_max = dcr.shard_cpu_us_max * 1e-3;
     stats->analysis_shard_cpu_ms_total = dcr.shard_cpu_us_total * 1e-3;
 
-    if (options_.recovery_threads > 1) {
-      DEUTERO_RETURN_NOT_OK(RunLogicalRedoParallel(
-          log_, dc_, start, build_dpt, build_dpt ? &dcr.dpt : nullptr,
-          dcr.last_delta_tc_lsn, preload ? &dcr.pf_list : nullptr, options_,
-          options_.recovery_threads, &redo, count_rows_from));
-    } else {
-      DEUTERO_RETURN_NOT_OK(RunLogicalRedo(
-          log_, dc_, start, build_dpt, build_dpt ? &dcr.dpt : nullptr,
-          dcr.last_delta_tc_lsn, preload ? &dcr.pf_list : nullptr, options_,
-          &redo, count_rows_from));
-    }
+    DEUTERO_RETURN_NOT_OK(RunLogicalRedo(
+        log_, dc_, start, build_dpt ? &dcr.dpt : nullptr,
+        dcr.last_delta_tc_lsn, preload ? &dcr.pf_list : nullptr, options_,
+        &redo, count_rows_from, options_.recovery_threads));
     const double t2 = clock_->NowMs();
     stats->redo = {t2 - t1, redo.log_pages, redo.records_scanned};
     att = std::move(redo.att);
@@ -118,16 +110,9 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
 
     // Row accounting starts at the covered boundary (the ARIES redo SCAN
     // may reach back to the oldest captured rLSN, before the bCkpt).
-    if (options_.recovery_threads > 1) {
-      DEUTERO_RETURN_NOT_OK(RunSqlRedoParallel(
-          log_, dc_, ar.redo_start_lsn, &ar.dpt,
-          method == RecoveryMethod::kSql2, options_,
-          options_.recovery_threads, &redo, count_rows_from));
-    } else {
-      DEUTERO_RETURN_NOT_OK(RunSqlRedo(log_, dc_, ar.redo_start_lsn, &ar.dpt,
-                                       method == RecoveryMethod::kSql2,
-                                       options_, &redo, count_rows_from));
-    }
+    DEUTERO_RETURN_NOT_OK(RunSqlRedo(
+        log_, dc_, ar.redo_start_lsn, &ar.dpt, method == RecoveryMethod::kSql2,
+        options_, &redo, count_rows_from, options_.recovery_threads));
     const double t2 = clock_->NowMs();
     stats->redo = {t2 - t1, redo.log_pages, redo.records_scanned};
     stats->smo_redone = redo.smo_redone;

@@ -86,7 +86,7 @@ TEST_P(AttEquivalenceTest, SqlAnalysisAndLogicalScanAgreeOnLosers) {
   ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, DptMode::kStandard,
                           true, false, &dcr));
   RedoResult rr;
-  ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
+  ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, &dcr.dpt,
                            dcr.last_delta_tc_lsn, nullptr, e->options(),
                            &rr));
 

@@ -17,7 +17,7 @@
 
 #include "core/engine.h"
 #include "recovery/analysis.h"
-#include "recovery/parallel_redo.h"
+#include "recovery/pipeline_util.h"
 #include "recovery/redo.h"
 #include "recovery/stats.h"
 #include "recovery/undo.h"
@@ -226,14 +226,9 @@ TEST(ParallelRedoPass, LogicalCountersAndAttMatchSerial) {
     DcRecoveryResult dcr;
     ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
                             /*build_dpt=*/true, /*preload=*/false, &dcr));
-    if (threads == 1) {
-      ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
-                               dcr.last_delta_tc_lsn, nullptr, o, rr));
-    } else {
-      ASSERT_OK(RunLogicalRedoParallel(&e->wal(), &e->dc(), start, true,
-                                       &dcr.dpt, dcr.last_delta_tc_lsn,
-                                       nullptr, o, threads, rr));
-    }
+    ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, &dcr.dpt,
+                             dcr.last_delta_tc_lsn, nullptr, o, rr,
+                             kInvalidLsn, threads));
     *digest = ContentDigest(e.get());
     e->SimulateCrash();
   };
@@ -306,14 +301,8 @@ TEST(ParallelRedoPass, SqlCountersMatchSerialWithDdlInWindow) {
     const Lsn start = e->wal().master().bckpt_lsn;
     SqlAnalysisResult ar;
     ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &ar));
-    if (threads == 1) {
-      ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), ar.redo_start_lsn, &ar.dpt,
-                           /*prefetch=*/false, o, rr));
-    } else {
-      ASSERT_OK(RunSqlRedoParallel(&e->wal(), &e->dc(), ar.redo_start_lsn,
-                                   &ar.dpt, /*prefetch=*/false, o, threads,
-                                   rr));
-    }
+    ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), ar.redo_start_lsn, &ar.dpt,
+                         /*prefetch=*/false, o, rr, kInvalidLsn, threads));
     *digest = ContentDigest(e.get());
     BTree* side = e->dc().FindTable(kSide);
     ASSERT_NE(side, nullptr) << "DDL not replayed";
@@ -554,7 +543,7 @@ TEST(ParallelUndoPass, LogStreamAndStateMatchSerialByteForByte) {
     ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
                             /*build_dpt=*/true, /*preload=*/false, &dcr));
     RedoResult rr;
-    ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
+    ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, &dcr.dpt,
                              dcr.last_delta_tc_lsn, nullptr, o, &rr));
     const Lsn undo_start = e->wal().next_lsn();
     ASSERT_OK(RunUndo(&e->wal(), &e->dc(), rr.att, ur,

@@ -53,7 +53,7 @@ TEST_F(RedoTest, BasicLogicalRedoExaminesEveryDataOp) {
   CrashAfter(200, 400);
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
-                           /*use_dpt=*/false, nullptr, kInvalidLsn, nullptr,
+                           /*dpt=*/nullptr, kInvalidLsn, nullptr,
                            engine_->options(), &out));
   EXPECT_EQ(out.examined, 420u);
   EXPECT_EQ(out.skipped_dpt, 0u);   // Algorithm 2 has no DPT test
@@ -70,8 +70,8 @@ TEST_F(RedoTest, DptRedoPartitionsOutcomesCompletely) {
                           DptMode::kStandard, true, false, &dcr));
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
-                           /*use_dpt=*/true, &dcr.dpt, dcr.last_delta_tc_lsn,
-                           nullptr, engine_->options(), &out));
+                           &dcr.dpt, dcr.last_delta_tc_lsn, nullptr,
+                           engine_->options(), &out));
   EXPECT_EQ(out.examined, 420u);
   // Every examined op lands in exactly one bucket.
   EXPECT_EQ(out.examined, out.applied + out.skipped_plsn + out.skipped_dpt +
@@ -98,7 +98,7 @@ TEST_F(RedoTest, TailModeBoundaryIsStrict) {
     }
   }
   RedoResult out;
-  ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
+  ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
                            &dcr.dpt, dcr.last_delta_tc_lsn, nullptr,
                            engine_->options(), &out));
   EXPECT_EQ(out.tail_ops, at_or_above);
@@ -133,7 +133,7 @@ TEST_F(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
                           DptMode::kStandard, true, false, &dcr));
   RedoResult logical;
-  ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
+  ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
                            &dcr.dpt, dcr.last_delta_tc_lsn, nullptr,
                            engine_->options(), &logical));
 
@@ -205,7 +205,7 @@ TEST_F(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
                           DptMode::kStandard, true, true, &dcr));
   RedoResult with_pf;
-  ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
+  ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
                            &dcr.dpt, dcr.last_delta_tc_lsn, &dcr.pf_list,
                            engine_->options(), &with_pf));
 
@@ -216,7 +216,7 @@ TEST_F(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
                           DptMode::kStandard, true, false, &dcr2));
   RedoResult without_pf;
-  ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
+  ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
                            &dcr2.dpt, dcr2.last_delta_tc_lsn, nullptr,
                            engine_->options(), &without_pf));
 

@@ -491,40 +491,47 @@ TEST(SmoMergeRecovery, FreeListSurvivesCheckpointAndCrash) {
 /// Named regression (latent allocator bug flushed out by the delete-heavy
 /// sweep): a split whose pages the DPT proves durable is skipped by SQL
 /// redo — but the allocator high-water mark it carries must still be
-/// applied, or a post-recovery Allocate() hands out a live page.
+/// applied, or a post-recovery Allocate() hands out a live page. Run at
+/// one thread (the record replays on the dispatcher) and at two (it takes
+/// the fanned-out structure-record path).
 TEST(SmoMergeRecovery, DptSkippedSplitStillAdvancesAllocatorHwm) {
-  EngineOptions o = MergeOptions(300);
-  std::unique_ptr<Engine> e;
-  ASSERT_OK(Engine::Open(o, &e));
-  Table t;
-  ASSERT_OK(e->OpenDefaultTable(&t));
-  ASSERT_OK(e->Checkpoint());
-  const PageId hwm_at_ckpt = e->dc().allocator().next_page_id();
+  for (uint32_t threads : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    EngineOptions o = MergeOptions(300);
+    std::unique_ptr<Engine> e;
+    ASSERT_OK(Engine::Open(o, &e));
+    Table t;
+    ASSERT_OK(e->OpenDefaultTable(&t));
+    ASSERT_OK(e->Checkpoint());
+    const PageId hwm_at_ckpt = e->dc().allocator().next_page_id();
 
-  // A split after the checkpoint raises the high-water mark.
-  const std::string v(o.value_size, 'q');
-  const uint64_t splits_before = e->dc().btree().stats().splits;
-  for (Key k = 300; k < 340; k++) {
-    ASSERT_OK(InsertOne(e.get(), t, k, v));
-    if (e->dc().btree().stats().splits > splits_before) break;
+    // A split after the checkpoint raises the high-water mark.
+    const std::string v(o.value_size, 'q');
+    const uint64_t splits_before = e->dc().btree().stats().splits;
+    for (Key k = 300; k < 340; k++) {
+      ASSERT_OK(InsertOne(e.get(), t, k, v));
+      if (e->dc().btree().stats().splits > splits_before) break;
+    }
+    ASSERT_GT(e->dc().btree().stats().splits, splits_before);
+    const PageId hwm_after_split = e->dc().allocator().next_page_id();
+    ASSERT_GT(hwm_after_split, hwm_at_ckpt);
+    e->SimulateCrash();
+
+    // Drive SQL redo directly with an EMPTY DPT — the state analysis
+    // builds when every touched page was flushed and BW-pruned. The
+    // split's image install is rightly skipped; the allocator bookkeeping
+    // must not be.
+    ASSERT_OK(e->dc().OpenDatabase());
+    ASSERT_EQ(e->dc().allocator().next_page_id(), hwm_at_ckpt);
+    DirtyPageTable empty_dpt;
+    RedoResult rr;
+    ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), e->wal().master().bckpt_lsn,
+                         &empty_dpt, /*prefetch=*/false, o, &rr, kInvalidLsn,
+                         threads));
+    EXPECT_EQ(rr.smo_redone, 0u) << "empty DPT must skip the image install";
+    EXPECT_EQ(e->dc().allocator().next_page_id(), hwm_after_split)
+        << "skipped split left the allocator high-water mark stale";
   }
-  ASSERT_GT(e->dc().btree().stats().splits, splits_before);
-  const PageId hwm_after_split = e->dc().allocator().next_page_id();
-  ASSERT_GT(hwm_after_split, hwm_at_ckpt);
-  e->SimulateCrash();
-
-  // Drive SQL redo directly with an EMPTY DPT — the state analysis builds
-  // when every touched page was flushed and BW-pruned. The split's image
-  // install is rightly skipped; the allocator bookkeeping must not be.
-  ASSERT_OK(e->dc().OpenDatabase());
-  ASSERT_EQ(e->dc().allocator().next_page_id(), hwm_at_ckpt);
-  DirtyPageTable empty_dpt;
-  RedoResult rr;
-  ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), e->wal().master().bckpt_lsn,
-                       &empty_dpt, /*prefetch=*/false, o, &rr));
-  EXPECT_EQ(rr.smo_redone, 0u) << "empty DPT must skip the image install";
-  EXPECT_EQ(e->dc().allocator().next_page_id(), hwm_after_split)
-      << "skipped split left the allocator high-water mark stale";
 }
 
 /// Named regression (code review): a Δ-record logged AFTER a merge can
